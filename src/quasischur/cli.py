@@ -55,28 +55,17 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=False)
 
 
-def _read_expansion(path: str) -> Expansion:
+def _read_document(path: str, parse, kind: str):
+    """Load a JSON document from a file or stdin (`-`) and parse it."""
     try:
         if path == "-":
             doc = json.load(sys.stdin)
         else:
             with open(path, encoding="utf-8") as handle:
                 doc = json.load(handle)
-        return Expansion.from_json_dict(doc)
+        return parse(doc)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot read expansion document: {exc}")
-
-
-def _read_poly(path: str) -> SparsePoly:
-    try:
-        if path == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(path, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        return SparsePoly.from_json_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot read polynomial document: {exc}")
+        raise CliError(f"cannot read {kind} document: {exc}")
 
 
 def _resolve_max_n(args) -> int:
@@ -110,7 +99,7 @@ def cmd_straighten(args) -> int:
 def cmd_fundamental(args) -> int:
     alpha = _parse_ints(args.alpha)
     try:
-        poly = fundamental(alpha, args.vars or sum(alpha))
+        poly = fundamental(alpha, sum(alpha) if args.vars is None else args.vars)
     except ValueError as exc:
         raise CliError(str(exc))
     if args.text:
@@ -121,7 +110,7 @@ def cmd_fundamental(args) -> int:
 
 
 def cmd_fexpand(args) -> int:
-    poly = _read_poly(args.input)
+    poly = _read_document(args.input, SparsePoly.from_json_dict, "polynomial")
     try:
         expansion = extract_f_expansion(poly)
     except ValueError as exc:
@@ -134,18 +123,12 @@ def cmd_fexpand(args) -> int:
 
 
 def cmd_toschur(args) -> int:
-    expansion = _read_expansion(args.input)
+    expansion = _read_document(args.input, Expansion.from_json_dict, "expansion")
     if expansion.basis != "F":
         raise CliError(f"expected an F-basis expansion, got basis {expansion.basis!r}")
     if args.verify_symmetric and not expansion.is_zero():
-        n = expansion.degree
-        poly = expansion_to_poly(expansion, n)
-        for i in range(1, n):
-            if poly.swap_variables(i, i + 1) != poly:
-                raise CliError(
-                    f"input is not symmetric: swapping x{i} and x{i + 1} changes it",
-                    code=EXIT_VERIFY,
-                )
+        if not expansion_to_poly(expansion, expansion.degree).is_symmetric():
+            raise CliError("input is not symmetric", code=EXIT_VERIFY)
     result = elw_to_schur(expansion)
     if args.text:
         print(_expansion_text(result))
@@ -185,6 +168,8 @@ def cmd_hll(args) -> int:
 
 
 def cmd_positivity(args) -> int:
+    if args.n < 1:
+        raise CliError(f"weight must be positive, got {args.n}")
     max_n = _resolve_max_n(args)
     if args.n > max_n:
         raise CliError(f"weight {args.n} exceeds bound {max_n}")

@@ -17,8 +17,8 @@ from .combinatorics import (
     rsk_shape,
 )
 from .elw import elw_to_schur
-from .polynomial import QT, QT_ZERO, SparsePoly
-from .quasisym import Expansion, fundamental
+from .polynomial import QT, QT_ZERO
+from .quasisym import Expansion, expansion_to_poly
 from .schur import straighten
 
 DEFAULT_MAX_N = 9
@@ -198,12 +198,8 @@ def symmetry_check(mu, max_n: int = DEFAULT_MAX_N) -> bool:
     """Expand the inversion-free filling sum in n variables and test full
     symmetry (coefficientwise in t, so per t-degree)."""
     mu = Partition(mu)
-    n = mu.weight
     expansion = hl_fundamental_expansion(mu, max_n=max_n)
-    total = SparsePoly.zero(n)
-    for index, coeff in expansion.terms():
-        total = total + fundamental(index, n).scalar_mul(coeff)
-    return total.is_symmetric()
+    return expansion_to_poly(expansion, mu.weight).is_symmetric()
 
 
 @dataclass

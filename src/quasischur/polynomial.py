@@ -136,12 +136,6 @@ class QT:
             out[(qe, te)] = out.get((qe, te), 0) + c
         return cls(out)
 
-    def t_coefficient(self, texp: int) -> int:
-        """Integer coefficient of t^texp; requires a q-free value."""
-        if not self.is_q_free():
-            raise ValueError("coefficient involves q")
-        return self._terms.get((0, texp), 0)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -284,16 +278,6 @@ class SparsePoly:
         result.nvars = self.nvars
         result._terms = terms
         return result
-
-    def permute_variables(self, perm) -> "SparsePoly":
-        """Apply sigma: exponent in slot i moves to variable perm[i] (1-based)."""
-        out: dict[tuple[int, ...], QT] = {}
-        for exps, coeff in self._terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                new[perm[i] - 1] = e
-            out[tuple(new)] = coeff
-        return self._wrap(out)
 
     def swap_variables(self, i: int, j: int) -> "SparsePoly":
         """Exchange x_i and x_j (1-based)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import Partition, WeakComposition, pad, permutation_sign
+from .combinatorics import Partition, WeakComposition, permutation_sign
 from .polynomial import (
     SparsePoly,
     antisymmetrize,
@@ -127,20 +127,3 @@ def schur_ssyt(shape, nvars: int) -> SparsePoly:
 
     fill(0, 0)
     return SparsePoly(nvars, {exps: count for exps, count in counts.items()})
-
-
-def straightened_equals_bialternant(gamma) -> bool:
-    """Cross-check the closed form against the determinant ratio."""
-    gamma = WeakComposition(gamma)
-    nvars = len(gamma)
-    normal = straighten(gamma)
-    via_ratio = schur_bialternant(gamma, nvars)
-    if normal.is_zero():
-        return via_ratio.is_zero()
-    expected = schur_ssyt(normal.shape, nvars).scalar_mul(normal.sign)
-    return via_ratio == expected
-
-
-def partition_fixed_by_straightening(shape, nvars: int) -> bool:
-    normal = straighten(pad(shape, nvars))
-    return normal.sign == 1 and normal.shape == Partition(shape)

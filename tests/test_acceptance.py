@@ -48,18 +48,21 @@ def test_theorem_round_trip():
 
 
 def test_involution_suite():
-    """All four involution clauses pass exhaustively for n <= 6 and for the
-    worked composition (2,3,3) with its documented block values."""
-    for n in range(1, 7):
+    """All four involution clauses pass exhaustively for n <= 7 and for the
+    worked compositions (2,3,3) and (3,3,2), the first with its documented
+    block values."""
+    for n in range(1, 8):
         for alpha in qs.compositions_of(n):
             report = qs.verify_involution(alpha)
             assert report.passed(), (tuple(alpha), report.to_json_dict())
-    report = qs.verify_involution((2, 3, 3))
-    assert report.passed()
+    for alpha in [(2, 3, 3), (3, 3, 2)]:
+        report = qs.verify_involution(alpha)
+        assert report.passed(), (alpha, report.to_json_dict())
     u = ConstrainedMonomial(qs.Composition((2, 3, 3)), (1, 1, 2, 2, 2, 3, 5, 5))
     step = locate_block(u)
     assert (step.s, step.r) == (2, 3)
-    _report("involution suite: exhaustive n <= 6 plus (2,3,3) with s=2, r=3")
+    _report("involution suite: exhaustive n <= 7 plus (2,3,3) with s=2, r=3 "
+            "and (3,3,2)")
 
 
 def test_bialternant_ssyt_oracle_agreement():

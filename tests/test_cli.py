@@ -44,6 +44,11 @@ class TestFundamental:
         doc = json.loads(out)
         assert doc == {"vars": 2, "terms": [{"exps": [2, 1], "coeff": [[0, 0, 1]]}]}
 
+    def test_zero_vars_is_honoured(self, capsys):
+        code, out, _ = run_cli(capsys, "fundamental", "2,1", "--vars", "0")
+        assert code == 0
+        assert json.loads(out) == {"vars": 0, "terms": []}
+
 
 class TestFexpand:
     def test_round_trip(self, capsys, tmp_path):
@@ -186,6 +191,12 @@ class TestPositivity:
         doc = json.loads(out)
         assert doc["all_positive"] is True
         assert len(doc["shapes"]) == 5
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_weight_rejected(self, capsys, n):
+        code, out, err = run_cli(capsys, "positivity", n)
+        assert (code, out) == (2, "")
+        assert "weight must be positive" in err
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import pytest
 
+import quasischur.elw as elw
 from quasischur.combinatorics import Composition, compositions_of, pad, partitions_of
 from quasischur.elw import (
     ConstrainedMonomial,
@@ -133,3 +134,17 @@ class TestVerify:
             doc["pairs"] * 2 + doc["self_cancelling"] + len(doc["fixed_points"])
             == doc["monomials"]
         )
+
+    def test_polynomial_clause_detects_missing_monomial(self, monkeypatch):
+        # without the fixed point (1,1,2) the remaining words of (2,1)
+        # antisymmetrize to zero, not to the alternant of x^(alpha + delta)
+        full = elw.constrained_monomials
+        monkeypatch.setattr(
+            elw,
+            "constrained_monomials",
+            lambda alpha: (u for u in full(alpha) if u.word != (1, 1, 2)),
+        )
+        report = verify_involution((2, 1))
+        assert report.monomial_count == 3
+        assert report.polynomial_check is False
+        assert not report.passed()

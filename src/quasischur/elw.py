@@ -221,23 +221,24 @@ def verify_involution(alpha) -> VerificationReport:
     report.monomial_count = len(monomials)
     alpha_padded = pad(alpha, n)
 
-    by_word = {u.word: u for u in monomials}
+    normals = {u.word: straighten(u.gamma) for u in monomials}
     seen_pairs: set[frozenset] = set()
     signed_total: dict[tuple[int, ...], int] = {}
     sign_ok = True
     witness = None
     for u in monomials:
-        normal = straighten(u.gamma)
-        if not normal.is_zero():
-            key = tuple(normal.shape)
-            signed_total[key] = signed_total.get(key, 0) + normal.sign
+        a = normals[u.word]
+        if not a.is_zero():
+            key = tuple(a.shape)
+            signed_total[key] = signed_total.get(key, 0) + a.sign
             if not signed_total[key]:
                 del signed_total[key]
         image = involution(u)
         if isinstance(image, FixedPoint):
             report.fixed_points.append(u.word)
             continue
-        if image.word not in by_word or not isinstance(involution(image), ConstrainedMonomial) or involution(image).word != u.word:
+        back = involution(image) if image.word in normals else None
+        if not isinstance(back, ConstrainedMonomial) or back.word != u.word:
             sign_ok = False
             witness = witness or u.word
             continue
@@ -245,8 +246,7 @@ def verify_involution(alpha) -> VerificationReport:
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)
-        a = straighten(u.gamma)
-        b = straighten(image.gamma)
+        b = normals[image.word]
         cancels = (a.is_zero() and b.is_zero()) or (
             not a.is_zero()
             and not b.is_zero()

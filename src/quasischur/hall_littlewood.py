@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -117,25 +118,14 @@ def pides(sigma) -> Composition:
 
 def _force_row(row_below: tuple[int, ...], entries: frozenset[int]) -> tuple[int, ...]:
     """The unique ordering of a row making every triple with the row below a
-    non-inversion.  Searches all orderings and insists on uniqueness."""
-    valid = []
-    for candidate in permutations(sorted(entries)):
-        ok = True
-        for a_pos in range(len(candidate)):
-            c = row_below[a_pos]
-            for b_pos in range(a_pos + 1, len(candidate)):
-                if _counterclockwise(candidate[a_pos], candidate[b_pos], c):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            valid.append(candidate)
-    if len(valid) != 1:
-        raise AssertionError(
-            f"expected exactly one inversion-free ordering, found {len(valid)}"
-        )
-    return valid[0]
+    non-inversion.  Left to right, over a cell holding c put the smallest
+    remaining entry greater than c, or the smallest remaining entry if none is."""
+    remaining = sorted(entries)
+    row = []
+    for c in row_below[: len(remaining)]:
+        i = bisect_right(remaining, c)
+        row.append(remaining.pop(i if i < len(remaining) else 0))
+    return tuple(row)
 
 
 def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[Filling]:
@@ -234,17 +224,21 @@ def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
     """Classify each inversion-free filling by the sign of its straightened
     descent-composition Schur value, keep the plus-class fillings whose
     Schensted shape matches the straightened shape, and compare the resulting
-    sum against the true expansion."""
+    sum against the true expansion, built from the same walk."""
     mu = Partition(mu)
     n = mu.weight
     counts = {"zero": 0, "minus": 0, "plus": 0}
+    f_terms: dict[tuple[int, ...], QT] = {}
     kept_terms: dict[tuple[int, ...], QT] = {}
     kept = 0
     total_fillings = 0
     for f in inv_zero_fillings(mu, max_n=max_n):
         total_fillings += 1
         sigma = f.reading_word
-        normal = straighten(pad(pides(sigma), n))
+        index = tuple(pides(sigma))
+        t_maj = QT.term(1, texp=maj_stat(f))
+        f_terms[index] = f_terms.get(index, QT_ZERO) + t_maj
+        normal = straighten(pad(index, n))
         if normal.is_zero():
             counts["zero"] += 1
             continue
@@ -256,9 +250,11 @@ def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
             continue
         kept += 1
         key = tuple(normal.shape)
-        kept_terms[key] = kept_terms.get(key, QT_ZERO) + QT.term(1, texp=maj_stat(f))
+        kept_terms[key] = kept_terms.get(key, QT_ZERO) + t_maj
     conjectured = Expansion("s", n, kept_terms)
-    true_expansion = hll_expansion(mu, max_n=max_n)
+    # the F-to-s replacement is linear, so this walk's F-expansion gives the
+    # true expansion without walking the fillings again in hll_expansion
+    true_expansion = elw_to_schur(Expansion("F", n, f_terms))
     return ExperimentReport(
         mu=mu,
         filling_count=total_fillings,

@@ -14,6 +14,14 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a quotient does not exist in the polynomial ring."""
 
 
+def _json_int(value) -> int:
+    """An integer field of a JSON document, refusing bools, floats and strings
+    rather than reading them as integers."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class QT:
     """Element of Z[q,t] stored as a sparse map (q-exp, t-exp) -> nonzero int."""
 
@@ -133,7 +141,8 @@ class QT:
     def from_triples(cls, triples: Iterable[Iterable[int]]) -> "QT":
         out: dict[tuple[int, int], int] = {}
         for qe, te, c in triples:
-            out[(qe, te)] = out.get((qe, te), 0) + c
+            key = (_json_int(qe), _json_int(te))
+            out[key] = out.get(key, 0) + _json_int(c)
         return cls(out)
 
     def __str__(self) -> str:
@@ -332,10 +341,10 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
-        nvars = int(doc["vars"])
+        nvars = _json_int(doc["vars"])
         terms: dict[tuple[int, ...], QT] = {}
         for entry in doc["terms"]:
-            exps = tuple(int(e) for e in entry["exps"])
+            exps = tuple(_json_int(e) for e in entry["exps"])
             coeff = QT.from_triples(entry["coeff"])
             terms[exps] = terms.get(exps, QT_ZERO) + coeff
         return cls(nvars, terms)

@@ -11,7 +11,7 @@ from .combinatorics import (
     compositions_of,
     set_of_composition,
 )
-from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt
+from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int
 from .schur import schur_ssyt
 
 BASES = ("F", "M", "s")
@@ -109,10 +109,10 @@ class Expansion:
     def from_json_dict(cls, doc: Mapping) -> "Expansion":
         terms: dict[tuple[int, ...], QT] = {}
         for entry in doc["terms"]:
-            index = tuple(int(i) for i in entry["index"])
+            index = tuple(_json_int(i) for i in entry["index"])
             coeff = QT.from_triples(entry["coeff"])
             terms[index] = terms.get(index, QT_ZERO) + coeff
-        return cls(doc["basis"], int(doc["degree"]), terms)
+        return cls(doc["basis"], _json_int(doc["degree"]), terms)
 
     def __str__(self) -> str:
         if not self._terms:

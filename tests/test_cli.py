@@ -13,6 +13,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# each case replaces a 1 in an integer field of a valid document by a value of
+# another JSON type that int() would read as 1
+POLY_X1 = {"vars": 1, "terms": [{"exps": [1], "coeff": [[0, 0, 1]]}]}
+EXPANSION_F1 = {"basis": "F", "degree": 1, "terms": [{"index": [1], "coeff": [[0, 0, 1]]}]}
+NON_INTEGERS = [True, 1.5, "1"]
+
+
+def non_integer_documents(doc, paths):
+    cases = []
+    for path in paths:
+        field = next(key for key in reversed(path) if isinstance(key, str))
+        for value in NON_INTEGERS:
+            spoiled = json.loads(json.dumps(doc))
+            target = spoiled
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            cases.append(pytest.param(json.dumps(spoiled), id=f"{field}={value!r}"))
+    return cases
+
+
 class TestStraighten:
     def test_zero(self, capsys):
         code, out, _ = run_cli(capsys, "straighten", "1,2")
@@ -61,11 +82,19 @@ class TestFexpand:
         assert doc["basis"] == "F"
         assert doc["terms"] == [{"index": [2, 1], "coeff": [[0, 0, 1]]}]
 
-    def test_malformed_json(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param("{nope", id="not-json")]
+        + non_integer_documents(
+            POLY_X1, [("vars",), ("terms", 0, "exps", 0), ("terms", 0, "coeff", 0, 2)]
+        ),
+    )
+    def test_malformed_json(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        code, _, err = run_cli(capsys, "fexpand", str(bad))
-        assert code == 2
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "fexpand", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 class TestToSchur:
@@ -130,11 +159,19 @@ class TestToSchur:
         code, _, _ = run_cli(capsys, "toschur", "--verify-symmetric", str(doc))
         assert code == 0
 
-    def test_malformed_json_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param("not json", id="not-json")]
+        + non_integer_documents(
+            EXPANSION_F1, [("degree",), ("terms", 0, "index", 0), ("terms", 0, "coeff", 0, 2)]
+        ),
+    )
+    def test_malformed_json_is_usage_error(self, capsys, tmp_path, text):
         doc = tmp_path / "in.json"
-        doc.write_text("not json")
-        code, _, _ = run_cli(capsys, "toschur", str(doc))
-        assert code == 2
+        doc.write_text(text)
+        code, out, err = run_cli(capsys, "toschur", str(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 class TestVerifyInvolution:

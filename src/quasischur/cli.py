@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .combinatorics import Partition, partitions_of
+from .combinatorics import Composition, Partition, partitions_of
 from .elw import elw_to_schur, verify_involution
 from .hall_littlewood import (
     DEFAULT_MAX_N,
@@ -20,7 +20,12 @@ from .hall_littlewood import (
     is_schur_positive,
     leftover_experiment,
 )
-from .quasisym import Expansion, expansion_to_poly, extract_f_expansion, fundamental
+from .quasisym import (
+    Expansion,
+    extract_f_expansion,
+    fundamental,
+    is_symmetric_expansion,
+)
 from .polynomial import SparsePoly
 from .schur import straighten
 
@@ -80,6 +85,14 @@ def _resolve_max_n(args) -> int:
     return DEFAULT_MAX_N
 
 
+def _within_bound(args, what: str, size: int) -> int:
+    """The size bound, once size is known not to exceed it."""
+    max_n = _resolve_max_n(args)
+    if size > max_n:
+        raise CliError(f"{what} {size} exceeds bound {max_n}")
+    return max_n
+
+
 def _expansion_text(e: Expansion) -> str:
     return str(e)
 
@@ -97,9 +110,16 @@ def cmd_straighten(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
-    alpha = _parse_ints(args.alpha)
     try:
-        poly = fundamental(alpha, sum(alpha) if args.vars is None else args.vars)
+        alpha = Composition(_parse_ints(args.alpha))
+    except ValueError as exc:
+        raise CliError(str(exc))
+    nvars = alpha.weight if args.vars is None else args.vars
+    # the output has C(nvars - len(alpha) + weight, weight) monomials
+    _within_bound(args, "weight", alpha.weight)
+    _within_bound(args, "variable count", nvars)
+    try:
+        poly = fundamental(alpha, nvars)
     except ValueError as exc:
         raise CliError(str(exc))
     if args.text:
@@ -111,6 +131,7 @@ def cmd_fundamental(args) -> int:
 
 def cmd_fexpand(args) -> int:
     poly = _read_document(args.input, SparsePoly.from_json_dict, "polynomial")
+    _within_bound(args, "degree", poly.degree())
     try:
         expansion = extract_f_expansion(poly)
     except ValueError as exc:
@@ -126,8 +147,10 @@ def cmd_toschur(args) -> int:
     expansion = _read_document(args.input, Expansion.from_json_dict, "expansion")
     if expansion.basis != "F":
         raise CliError(f"expected an F-basis expansion, got basis {expansion.basis!r}")
-    if args.verify_symmetric and not expansion.is_zero():
-        if not expansion_to_poly(expansion, expansion.degree).is_symmetric():
+    if args.verify_symmetric:
+        # the check walks all 2^(degree-1) compositions of the degree
+        _within_bound(args, "degree", expansion.degree)
+        if not is_symmetric_expansion(expansion):
             raise CliError("input is not symmetric", code=EXIT_VERIFY)
     result = elw_to_schur(expansion)
     if args.text:
@@ -141,9 +164,7 @@ def cmd_verify_involution(args) -> int:
     alpha = _parse_ints(args.alpha)
     if any(a < 1 for a in alpha):
         raise CliError("composition parts must be positive")
-    max_n = _resolve_max_n(args)
-    if sum(alpha) > max_n:
-        raise CliError(f"weight {sum(alpha)} exceeds bound {max_n}")
+    _within_bound(args, "weight", sum(alpha))
     report = verify_involution(alpha)
     print(_dump_json(report.to_json_dict()))
     return EXIT_OK if report.passed() else EXIT_VERIFY
@@ -170,9 +191,7 @@ def cmd_hll(args) -> int:
 def cmd_positivity(args) -> int:
     if args.n < 1:
         raise CliError(f"weight must be positive, got {args.n}")
-    max_n = _resolve_max_n(args)
-    if args.n > max_n:
-        raise CliError(f"weight {args.n} exceeds bound {max_n}")
+    max_n = _within_bound(args, "weight", args.n)
     results = []
     all_positive = True
     for mu in partitions_of(args.n):
@@ -182,6 +201,11 @@ def cmd_positivity(args) -> int:
         results.append({"mu": list(mu), "positive": positive})
     print(_dump_json({"n": args.n, "shapes": results, "all_positive": all_positive}))
     return EXIT_OK if all_positive else EXIT_VERIFY
+
+
+def _add_max_n(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"size bound (default: ${ENV_MAX_N}, else {DEFAULT_MAX_N})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,23 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha", help="composition, e.g. 2,1")
     p.add_argument("--vars", type=int, default=None, help="variable count (default: weight)")
     p.add_argument("--text", action="store_true", help="human-readable output")
+    _add_max_n(p)
     p.set_defaults(func=cmd_fundamental)
 
     p = sub.add_parser("fexpand", help="extract the F-expansion of a polynomial document")
     p.add_argument("input", nargs="?", default="-", help="polynomial JSON file or - for stdin")
     p.add_argument("--text", action="store_true")
+    _add_max_n(p)
     p.set_defaults(func=cmd_fexpand)
 
     p = sub.add_parser("toschur", help="convert an F-expansion to a Schur expansion")
     p.add_argument("input", nargs="?", default="-", help="expansion JSON file or - for stdin")
     p.add_argument("--verify-symmetric", action="store_true",
-                   help="abort unless the expanded polynomial is symmetric")
+                   help="abort unless the input is symmetric in degree-many variables")
     p.add_argument("--text", action="store_true")
+    _add_max_n(p)
     p.set_defaults(func=cmd_toschur)
 
     p = sub.add_parser("verify-involution", help="run the four involution checks")
     p.add_argument("alpha", help="composition, e.g. 2,3,3")
-    p.add_argument("--max-n", type=int, default=None)
+    _add_max_n(p)
     p.set_defaults(func=cmd_verify_involution)
 
     p = sub.add_parser("hll", help="Schur expansion of the modified Hall-Littlewood polynomial")
@@ -224,12 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", action="store_true",
                    help="run the Schensted leftover experiment and report the discrepancy")
     p.add_argument("--text", action="store_true")
-    p.add_argument("--max-n", type=int, default=None)
+    _add_max_n(p)
     p.set_defaults(func=cmd_hll)
 
     p = sub.add_parser("positivity", help="check Schur positivity for all shapes of a weight")
     p.add_argument("n", type=int)
-    p.add_argument("--max-n", type=int, default=None)
+    _add_max_n(p)
     p.set_defaults(func=cmd_positivity)
 
     return parser

@@ -19,7 +19,7 @@ from .combinatorics import (
 )
 from .elw import elw_to_schur
 from .polynomial import QT, QT_ZERO
-from .quasisym import Expansion, expansion_to_poly
+from .quasisym import Expansion, is_symmetric_expansion
 from .schur import straighten
 
 DEFAULT_MAX_N = 9
@@ -185,11 +185,9 @@ def hll_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
 
 
 def symmetry_check(mu, max_n: int = DEFAULT_MAX_N) -> bool:
-    """Expand the inversion-free filling sum in n variables and test full
-    symmetry (coefficientwise in t, so per t-degree)."""
-    mu = Partition(mu)
-    expansion = hl_fundamental_expansion(mu, max_n=max_n)
-    return expansion_to_poly(expansion, mu.weight).is_symmetric()
+    """Whether the inversion-free filling sum is symmetric in n variables
+    (coefficientwise in t, so per t-degree)."""
+    return is_symmetric_expansion(hl_fundamental_expansion(mu, max_n=max_n))
 
 
 @dataclass

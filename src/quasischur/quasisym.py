@@ -229,6 +229,38 @@ def extract_f_expansion(p: SparsePoly) -> Expansion:
     return Expansion("F", n, terms)
 
 
+def is_symmetric_expansion(e: Expansion) -> bool:
+    """Whether an F-expansion of degree n is symmetric in n variables.
+
+    Its monomial quasisymmetric coefficients are c_beta = sum of a_alpha over
+    Set(alpha) <= Set(beta), summed over the subset lattice of {1..n-1} in one
+    pass per descent position.  The M_beta(x_1..x_n), beta a composition of
+    n, are linearly independent, and x^e has coefficient c_beta for beta the
+    nonzero parts of e, so the polynomial is symmetric exactly when c_beta is
+    the same for every rearrangement of beta.  This is the exact answer of
+    expansion_to_poly(e, n).is_symmetric(), without expanding the polynomial.
+    """
+    if e.basis != "F":
+        raise ValueError(f"expected an F-basis expansion, got basis {e.basis!r}")
+    n = e.degree
+    if n < 2:
+        return True
+    c = [QT_ZERO] * (1 << (n - 1))
+    for alpha, coeff in e.terms():
+        c[sum(1 << (i - 1) for i in set_of_composition(alpha))] = coeff
+    for i in range(n - 1):
+        bit = 1 << i
+        for mask in range(len(c)):
+            if mask & bit and c[mask ^ bit]:
+                c[mask] = c[mask] + c[mask ^ bit]
+    # compositions_of yields beta in the order of its descent-set bitmask
+    by_parts: dict[tuple[int, ...], QT] = {}
+    for beta, coeff in zip(compositions_of(n), c):
+        if by_parts.setdefault(tuple(sorted(beta)), coeff) != coeff:
+            return False
+    return True
+
+
 def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:
     """Evaluate an expansion as a polynomial in nvars variables."""
     builders = {

@@ -110,8 +110,9 @@ def test_convention_validation():
     one-row anchor pins the inversion-triple orientation."""
     for n in range(1, 6):
         for mu in qs.partitions_of(n):
-            p = expansion_to_poly(qs.haglund_expansion(mu), n)
-            assert p.is_symmetric(), tuple(mu)
+            e = qs.haglund_expansion(mu)
+            assert expansion_to_poly(e, n).is_symmetric(), tuple(mu)
+            assert qs.is_symmetric_expansion(e), tuple(mu)
     anchor = qs.haglund_expansion((2,))
     from quasischur.polynomial import Q
 

@@ -160,6 +160,31 @@ class TestToSchur:
         assert code == 0
 
     @pytest.mark.parametrize(
+        "coeffs, code",
+        [
+            # s_21 = F_21 + F_12 times q: symmetric
+            ([[[1, 0, 1]], [[1, 0, 1]]], 0),
+            # F_21 + q F_12: the integer parts alone would pass
+            ([[[0, 0, 1]], [[1, 0, 1]]], 3),
+            # (1 + t) F_21 + F_12 - q t^2 F_12
+            ([[[0, 0, 1], [0, 1, 1]], [[0, 0, 1], [1, 2, -1]]], 3),
+        ],
+    )
+    def test_verify_symmetric_qt_coefficients(self, capsys, tmp_path, coeffs, code):
+        doc = tmp_path / "in.json"
+        doc.write_text(json.dumps({
+            "basis": "F",
+            "degree": 3,
+            "terms": [{"index": index, "coeff": c}
+                      for index, c in zip([[1, 2], [2, 1]], coeffs)],
+        }))
+        got, out, err = run_cli(capsys, "toschur", "--verify-symmetric", str(doc))
+        assert got == code
+        if code:
+            assert out == ""
+            assert "not symmetric" in err
+
+    @pytest.mark.parametrize(
         "text",
         [pytest.param("not json", id="not-json")]
         + non_integer_documents(
@@ -172,6 +197,77 @@ class TestToSchur:
         code, out, err = run_cli(capsys, "toschur", str(doc))
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+class TestSizeBound:
+    """Every enumerating command checks --max-n / QUASISCHUR_MAX_N (default 9)
+    before it starts work."""
+
+    # e_10 = x_1 ... x_10 = F_(1^10), as a polynomial and as an F-expansion
+    E10_POLY = {"vars": 10, "terms": [{"exps": [1] * 10, "coeff": [[0, 0, 1]]}]}
+    E10_F = {"basis": "F", "degree": 10, "terms": [{"index": [1] * 10, "coeff": [[0, 0, 1]]}]}
+    E10_S = {"basis": "s", "degree": 10, "terms": [{"index": [1] * 10, "coeff": [[0, 0, 1]]}]}
+
+    @pytest.fixture(autouse=True)
+    def default_bound(self, monkeypatch):
+        monkeypatch.delenv("QUASISCHUR_MAX_N", raising=False)
+
+    def documents(self, tmp_path):
+        poly, f = tmp_path / "poly.json", tmp_path / "f.json"
+        poly.write_text(json.dumps(self.E10_POLY))
+        f.write_text(json.dumps(self.E10_F))
+        return str(poly), str(f)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fundamental", "14", "--vars", "14"],
+            ["fundamental", "2,1", "--vars", "12"],
+            ["fundamental", "2,3,5"],
+            ["fexpand", "POLY"],
+            ["toschur", "--verify-symmetric", "F"],
+        ],
+        ids=["fundamental-14-vars-14", "fundamental-vars-12", "fundamental-weight-10",
+             "fexpand-degree-10", "toschur-verify-degree-10"],
+    )
+    def test_over_default_bound_rejected(self, capsys, tmp_path, argv):
+        poly, f = self.documents(tmp_path)
+        argv = [{"POLY": poly, "F": f}.get(a, a) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "exceeds bound 9" in err
+
+    def test_lower_bound_rejects_default_sizes(self, capsys):
+        code, out, err = run_cli(capsys, "fundamental", "2,1", "--max-n", "2")
+        assert (code, out) == (2, "")
+        assert "weight 3 exceeds bound 2" in err
+
+    def test_flag_raises_bound(self, capsys, tmp_path):
+        poly, f = self.documents(tmp_path)
+        code, out, _ = run_cli(capsys, "fundamental", "2,1", "--vars", "10", "--max-n", "10")
+        assert code == 0
+        # C(10 - 2 + 3, 3) weakly increasing words with one forced rise
+        assert len(json.loads(out)["terms"]) == 165
+        code, out, _ = run_cli(capsys, "fexpand", "--max-n", "10", poly)
+        assert (code, json.loads(out)) == (0, self.E10_F)
+        code, out, _ = run_cli(capsys, "toschur", "--verify-symmetric", "--max-n", "10", f)
+        assert (code, json.loads(out)) == (0, self.E10_S)
+
+    def test_environment_raises_bound(self, capsys, tmp_path, monkeypatch):
+        poly, f = self.documents(tmp_path)
+        monkeypatch.setenv("QUASISCHUR_MAX_N", "10")
+        code, out, _ = run_cli(capsys, "fundamental", "2,1", "--vars", "10")
+        assert (code, len(json.loads(out)["terms"])) == (0, 165)
+        code, out, _ = run_cli(capsys, "fexpand", poly)
+        assert (code, json.loads(out)) == (0, self.E10_F)
+        code, out, _ = run_cli(capsys, "toschur", "--verify-symmetric", f)
+        assert (code, json.loads(out)) == (0, self.E10_S)
+
+    def test_toschur_without_verification_is_unbounded(self, capsys, tmp_path):
+        _, f = self.documents(tmp_path)
+        code, out, _ = run_cli(capsys, "toschur", f)
+        assert (code, json.loads(out)) == (0, self.E10_S)
 
 
 class TestVerifyInvolution:

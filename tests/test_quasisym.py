@@ -1,13 +1,17 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur.combinatorics import compositions_of
-from quasischur.polynomial import QT, SparsePoly, T
+from quasischur.combinatorics import compositions_of, partitions_of
+from quasischur.polynomial import Q, QT, SparsePoly, T
 from quasischur.quasisym import (
     Expansion,
     expansion_to_poly,
     extract_f_expansion,
     fundamental,
+    is_symmetric_expansion,
     monomial_quasisym,
 )
 from quasischur.schur import schur_ssyt
@@ -150,3 +154,76 @@ def test_fundamental_is_m_sum_over_refinements():
                 if sa <= set_of_composition(beta):
                     total = total + monomial_quasisym(beta, n)
             assert total == fundamental(alpha, n)
+
+
+def polynomial_is_symmetric(e: Expansion) -> bool:
+    """The oracle: expand e in degree-many variables and swap them."""
+    return expansion_to_poly(e, e.degree).is_symmetric()
+
+
+def schur_f_expansion(lam) -> Expansion:
+    return extract_f_expansion(schur_ssyt(lam, sum(lam)))
+
+
+class TestIsSymmetricExpansion:
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_every_small_sign_vector(self, n):
+        alphas = [tuple(a) for a in compositions_of(n)]
+        verdicts = set()
+        for coeffs in itertools.product((-1, 0, 1), repeat=len(alphas)):
+            e = Expansion("F", n, dict(zip(alphas, coeffs)))
+            verdict = is_symmetric_expansion(e)
+            assert verdict == polynomial_is_symmetric(e), e
+            verdicts.add(verdict)
+        # n <= 2: every F_alpha is h_n or e_n, so everything is symmetric
+        assert verdicts == ({True, False} if n == 3 else {True})
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_qt_combinations(self, n):
+        rng = random.Random(1000 + n)
+        alphas = [tuple(a) for a in compositions_of(n)]
+        schurs = [schur_f_expansion(lam) for lam in partitions_of(n)]
+
+        def draw() -> QT:
+            return QT({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                       for _ in range(rng.randint(1, 3))})
+
+        verdicts = []
+        for _ in range(40):
+            # a Z[q,t] combination of fundamentals: almost never symmetric
+            picked = rng.sample(alphas, rng.randint(1, len(alphas)))
+            e = Expansion("F", n, {alpha: draw() for alpha in picked})
+            verdicts.append(is_symmetric_expansion(e))
+            assert verdicts[-1] == polynomial_is_symmetric(e), e
+            # a Z[q,t] combination of Schur functions: symmetric
+            e = Expansion("F", n)
+            for f in rng.sample(schurs, rng.randint(1, len(schurs))):
+                c = draw()
+                e = e + Expansion("F", n, {i: a * c for i, a in f.terms()})
+            verdicts.append(is_symmetric_expansion(e))
+            assert verdicts[-1] == polynomial_is_symmetric(e), e
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_schur_functions_accepted(self, n):
+        for lam in partitions_of(n):
+            e = schur_f_expansion(lam)
+            assert is_symmetric_expansion(e), lam
+            assert polynomial_is_symmetric(e), lam
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_schur_function_shifted_by_q_rejected(self, n):
+        # F_(1,n-1) is not symmetric for n >= 3, so s_lambda + q F_(1,n-1) is not
+        shifted = (1, n - 1)
+        for lam in partitions_of(n):
+            e = schur_f_expansion(lam) + Expansion("F", n, {shifted: Q})
+            assert not is_symmetric_expansion(e), lam
+            assert not polynomial_is_symmetric(e), lam
+
+    def test_degree_zero_and_zero_expansion(self):
+        assert is_symmetric_expansion(Expansion("F", 0))
+        assert is_symmetric_expansion(Expansion("F", 5))
+
+    def test_other_bases_rejected(self):
+        with pytest.raises(ValueError):
+            is_symmetric_expansion(Expansion("s", 2, {(2,): 1}))

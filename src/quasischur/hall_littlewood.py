@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator
+from itertools import chain, combinations, compress, permutations
+from operator import gt
+from typing import Iterable, Iterator
 
 from .combinatorics import (
     Composition,
     Partition,
     composition_of_set,
-    decompositions,
     descent_set,
     inverse_permutation,
     pad,
@@ -20,7 +20,7 @@ from .combinatorics import (
 from .elw import elw_to_schur
 from .polynomial import QT, QT_ZERO
 from .quasisym import Expansion, is_symmetric_expansion
-from .schur import straighten
+from .schur import SignedSchur, straighten
 
 DEFAULT_MAX_N = 9
 
@@ -49,10 +49,10 @@ class Filling:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if tuple(len(r) for r in self.rows) != tuple(self.shape):
+        if tuple(map(len, self.rows)) != tuple(self.shape):
             raise ValueError("row lengths do not match the shape")
         n = self.shape.weight
-        if sorted(v for row in self.rows for v in row) != list(range(1, n + 1)):
+        if sorted(chain.from_iterable(self.rows)) != list(range(1, n + 1)):
             raise ValueError("entries must be a bijection onto 1..n")
 
     @classmethod
@@ -68,10 +68,7 @@ class Filling:
 
     @property
     def reading_word(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
+        return tuple(chain.from_iterable(reversed(self.rows)))
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (1-based), read top to bottom."""
@@ -116,7 +113,7 @@ def pides(sigma) -> Composition:
     return composition_of_set(descent_set(inverse_permutation(sigma)), len(sigma))
 
 
-def _force_row(row_below: tuple[int, ...], entries: frozenset[int]) -> tuple[int, ...]:
+def _force_row(row_below: tuple[int, ...], entries: Iterable[int]) -> tuple[int, ...]:
     """The unique ordering of a row making every triple with the row below a
     non-inversion.  Left to right, over a cell holding c put the smallest
     remaining entry greater than c, or the smallest remaining entry if none is."""
@@ -131,16 +128,30 @@ def _force_row(row_below: tuple[int, ...], entries: frozenset[int]) -> tuple[int
 def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[Filling]:
     """One inversion-free filling per ordered set decomposition of {1..n}.
 
-    The bottom row is its block in increasing order; each higher row is the
-    forced inversion-free ordering of its block.
+    A depth-first walk from the bottom row up: level i picks row i's entries
+    from the values not yet used.  The bottom row holds its entries in
+    increasing order; each higher row is the forced inversion-free ordering
+    of its entries over the row already chosen below it, so a forced row is
+    computed once per shared lower part of the filling.  The order in which
+    the fillings are yielded is not part of this contract.
     """
     mu = Partition(mu)
     _check_bound(mu.weight, max_n)
-    for blocks in decompositions(mu):
-        rows: list[tuple[int, ...]] = [tuple(sorted(blocks[0]))]
-        for block in blocks[1:]:
-            rows.append(_force_row(rows[-1], block))
-        yield Filling(mu, tuple(rows))
+    k = len(mu)
+    rows: list[tuple[int, ...]] = [()] * k
+
+    def place(level: int, free: tuple[int, ...]) -> Iterator[Filling]:
+        if level == k:
+            yield Filling(mu, tuple(rows))
+            return
+        # combinations are increasing, which is the bottom row's order, and a
+        # one-cell row has a single ordering
+        forced = level > 0 and mu[level] > 1
+        for block in combinations(free, mu[level]):
+            rows[level] = _force_row(rows[level - 1], block) if forced else block
+            yield from place(level + 1, tuple(v for v in free if v not in block))
+
+    yield from place(0, tuple(range(1, mu.weight + 1)))
 
 
 def all_fillings(mu) -> Iterator[Filling]:
@@ -168,7 +179,11 @@ def haglund_expansion(mu) -> Expansion:
 
 def hl_fundamental_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
     """F-expansion of the modified Hall-Littlewood polynomial: the q = 0
-    specialization, i.e. the sum over inversion-free fillings of t^maj F_pides."""
+    specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
+
+    It reads each filling through maj_stat and pides, independently of the
+    inline statistics in leftover_experiment, so hll_expansion is the
+    independent check of that experiment's true side."""
     mu = Partition(mu)
     terms: dict[tuple[int, ...], QT] = {}
     for f in inv_zero_fillings(mu, max_n=max_n):
@@ -218,25 +233,53 @@ class ExperimentReport:
         }
 
 
+def _t_polynomial(census: dict[int, int]) -> QT:
+    """The sum of count * t^texp over a census mapping texp -> count."""
+    return QT({(0, texp): count for texp, count in census.items()})
+
+
 def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
     """Classify each inversion-free filling by the sign of its straightened
     descent-composition Schur value, keep the plus-class fillings whose
     Schensted shape matches the straightened shape, and compare the resulting
-    sum against the true expansion, built from the same walk."""
+    sum against the true expansion, built from the same walk.
+
+    The statistics are read off the rows directly: pides from the positions
+    of i and i + 1 in the reading word, maj from vertically adjacent cells.
+    Each descent mask is straightened once."""
     mu = Partition(mu)
     n = mu.weight
+    # row_weights[r][j]: the position in column j's top-to-bottom word of a
+    # descent between rows r + 1 and r, which is the column's height less r + 1
+    row_weights = [
+        [sum(1 for part in mu if part > j) - r - 1 for j in range(mu[r + 1])]
+        for r in range(len(mu) - 1)
+    ]
+    # mask -> (pides, its straightened Schur value, maj -> filling count)
+    by_mask: dict[tuple[bool, ...], tuple[tuple[int, ...], SignedSchur, dict]] = {}
     counts = {"zero": 0, "minus": 0, "plus": 0}
-    f_terms: dict[tuple[int, ...], QT] = {}
-    kept_terms: dict[tuple[int, ...], QT] = {}
+    # shape -> maj -> kept filling count
+    kept_census: dict[tuple[int, ...], dict[int, int]] = {}
     kept = 0
     total_fillings = 0
     for f in inv_zero_fillings(mu, max_n=max_n):
         total_fillings += 1
+        rows = f.rows
         sigma = f.reading_word
-        index = tuple(pides(sigma))
-        t_maj = QT.term(1, texp=maj_stat(f))
-        f_terms[index] = f_terms.get(index, QT_ZERO) + t_maj
-        normal = straighten(pad(index, n))
+        # where[v - 1] is the position of v in sigma; i is a descent of
+        # sigma^-1 exactly when i sits after i + 1
+        where = sorted(range(n), key=sigma.__getitem__)
+        mask = tuple(map(gt, where, where[1:]))
+        maj = 0
+        for r, weights in enumerate(row_weights):
+            maj += sum(compress(weights, map(gt, rows[r + 1], rows[r])))
+        entry = by_mask.get(mask)
+        if entry is None:
+            descents = {i + 1 for i, d in enumerate(mask) if d}
+            index = tuple(composition_of_set(descents, n))
+            entry = by_mask[mask] = (index, straighten(pad(index, n)), {})
+        _, normal, majs = entry
+        majs[maj] = majs.get(maj, 0) + 1
         if normal.is_zero():
             counts["zero"] += 1
             continue
@@ -247,11 +290,14 @@ def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
         if rsk_shape(sigma) != normal.shape:
             continue
         kept += 1
-        key = tuple(normal.shape)
-        kept_terms[key] = kept_terms.get(key, QT_ZERO) + t_maj
-    conjectured = Expansion("s", n, kept_terms)
+        kept_majs = kept_census.setdefault(tuple(normal.shape), {})
+        kept_majs[maj] = kept_majs.get(maj, 0) + 1
+    conjectured = Expansion(
+        "s", n, {shape: _t_polynomial(m) for shape, m in kept_census.items()}
+    )
     # the F-to-s replacement is linear, so this walk's F-expansion gives the
     # true expansion without walking the fillings again in hll_expansion
+    f_terms = {index: _t_polynomial(m) for index, _, m in by_mask.values()}
     true_expansion = elw_to_schur(Expansion("F", n, f_terms))
     return ExperimentReport(
         mu=mu,

@@ -29,6 +29,8 @@ class Expansion:
     def __init__(self, basis: str, degree: int, terms: Mapping | None = None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
+        if degree < 0:
+            raise ValueError(f"degree must be non-negative, got {degree}")
         self.basis = basis
         self.degree = degree
         cleaned: dict[tuple[int, ...], QT] = {}

@@ -138,6 +138,18 @@ class TestToSchur:
         assert code == 0
         assert json.loads(out)["terms"] == []
 
+    @pytest.mark.parametrize("flags", [[], ["--verify-symmetric"]], ids=["plain", "verify"])
+    def test_negative_degree_rejected(self, capsys, tmp_path, flags):
+        doc = tmp_path / "in.json"
+        doc.write_text(json.dumps({"basis": "F", "degree": -3, "terms": []}))
+        code, out, err = run_cli(capsys, "toschur", *flags, str(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        doc.write_text(json.dumps({"basis": "F", "degree": 0, "terms": []}))
+        code, out, _ = run_cli(capsys, "toschur", *flags, str(doc))
+        assert code == 0
+        assert json.loads(out) == {"basis": "s", "degree": 0, "terms": []}
+
     def test_verify_symmetric_rejects(self, capsys, tmp_path):
         doc = tmp_path / "in.json"
         doc.write_text(
@@ -352,3 +364,21 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestEarlyStdoutClose:
+    def test_reader_closing_early_is_not_a_crash(self):
+        # about 240 kB of JSON, more than a pipe buffers, so the writer meets
+        # the closed pipe whatever the timing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quasischur", "fundamental", "3,3",
+             "--vars", "12", "--max-n", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{"vars":12'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 2, 3)
+        assert b"Traceback" not in err

@@ -2,8 +2,17 @@ from itertools import permutations
 
 import pytest
 
-from quasischur.combinatorics import Composition, decomposition_count, partitions_of
+from quasischur.combinatorics import (
+    Composition,
+    Partition,
+    decomposition_count,
+    decompositions,
+    pad,
+    partitions_of,
+    rsk_shape,
+)
 from quasischur.hall_littlewood import (
+    ExperimentReport,
     Filling,
     SizeBoundError,
     _counterclockwise,
@@ -20,18 +29,76 @@ from quasischur.hall_littlewood import (
     pides,
     symmetry_check,
 )
-from quasischur.polynomial import QT, Q, T
+from quasischur.elw import elw_to_schur
+from quasischur.polynomial import QT, QT_ZERO, Q, T
 from quasischur.quasisym import Expansion
+from quasischur.schur import straighten
+
+# every shape of weight <= 7, and the weight-9 counterexample shape
+ORACLE_SHAPES = [mu for n in range(1, 8) for mu in partitions_of(n)] + [
+    Partition((3, 3, 3))
+]
+
+
+def shape_id(mu):
+    return ",".join(map(str, mu))
 
 
 def filling(shape, *rows):
-    return Filling(tuple_to_partition(shape), tuple(tuple(r) for r in rows))
+    return Filling(Partition(shape), tuple(tuple(r) for r in rows))
 
 
-def tuple_to_partition(shape):
-    from quasischur.combinatorics import Partition
+def reference_inv_zero_fillings(mu):
+    """The inversion-free fillings from each ordered set decomposition, every
+    row forced from scratch: the walk that inv_zero_fillings replaces."""
+    mu = Partition(mu)
+    for blocks in decompositions(mu):
+        rows = [tuple(sorted(blocks[0]))]
+        for block in blocks[1:]:
+            rows.append(_force_row(rows[-1], block))
+        yield Filling(mu, tuple(rows))
 
-    return Partition(shape)
+
+def reference_leftover_experiment(mu):
+    """The leftover experiment with every statistic computed per filling
+    through pides, maj_stat and straighten."""
+    mu = Partition(mu)
+    n = mu.weight
+    counts = {"zero": 0, "minus": 0, "plus": 0}
+    f_terms, kept_terms = {}, {}
+    kept = total = 0
+    for f in reference_inv_zero_fillings(mu):
+        total += 1
+        sigma = f.reading_word
+        index = tuple(pides(sigma))
+        t_maj = QT.term(1, texp=maj_stat(f))
+        f_terms[index] = f_terms.get(index, QT_ZERO) + t_maj
+        normal = straighten(pad(index, n))
+        if normal.is_zero():
+            counts["zero"] += 1
+            continue
+        if normal.sign < 0:
+            counts["minus"] += 1
+            continue
+        counts["plus"] += 1
+        if rsk_shape(sigma) != normal.shape:
+            continue
+        kept += 1
+        key = tuple(normal.shape)
+        kept_terms[key] = kept_terms.get(key, QT_ZERO) + t_maj
+    conjectured = Expansion("s", n, kept_terms)
+    true_expansion = elw_to_schur(Expansion("F", n, f_terms))
+    return ExperimentReport(
+        mu=mu,
+        filling_count=total,
+        zero_count=counts["zero"],
+        minus_count=counts["minus"],
+        plus_count=counts["plus"],
+        kept_count=kept,
+        conjectured=conjectured,
+        true_expansion=true_expansion,
+        discrepancy=true_expansion - conjectured,
+    )
 
 
 class TestFilling:
@@ -150,6 +217,12 @@ class TestInvZeroFillings:
         with pytest.raises(SizeBoundError):
             list(inv_zero_fillings((10,), max_n=9))
 
+    @pytest.mark.parametrize("mu", ORACLE_SHAPES, ids=shape_id)
+    def test_matches_reference_walk(self, mu):
+        fillings = list(inv_zero_fillings(mu))
+        assert len(fillings) == len(set(fillings))
+        assert set(fillings) == set(reference_inv_zero_fillings(mu))
+
 
 class TestExpansions:
     def test_hll_column(self):
@@ -223,6 +296,13 @@ class TestLeftoverExperiment:
         assert (
             report.zero_count + report.minus_count + report.plus_count
             == report.filling_count
+        )
+
+    @pytest.mark.parametrize("mu", ORACLE_SHAPES, ids=shape_id)
+    def test_matches_reference_experiment(self, mu):
+        assert (
+            leftover_experiment(mu).to_json_dict()
+            == reference_leftover_experiment(mu).to_json_dict()
         )
 
     def test_report_json_keys(self):

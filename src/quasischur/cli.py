@@ -93,10 +93,6 @@ def _within_bound(args, what: str, size: int) -> int:
     return max_n
 
 
-def _expansion_text(e: Expansion) -> str:
-    return str(e)
-
-
 def cmd_straighten(args) -> int:
     gamma = _parse_ints(args.gamma)
     if any(g < 0 for g in gamma):
@@ -137,7 +133,7 @@ def cmd_fexpand(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     if args.text:
-        print(_expansion_text(expansion))
+        print(expansion)
     else:
         print(_dump_json(expansion.to_json_dict()))
     return EXIT_OK
@@ -154,7 +150,7 @@ def cmd_toschur(args) -> int:
             raise CliError("input is not symmetric", code=EXIT_VERIFY)
     result = elw_to_schur(expansion)
     if args.text:
-        print(_expansion_text(result))
+        print(result)
     else:
         print(_dump_json(result.to_json_dict()))
     return EXIT_OK
@@ -180,7 +176,7 @@ def cmd_hll(args) -> int:
         else:
             expansion = hll_expansion(mu, max_n=max_n)
             if args.text:
-                print(_expansion_text(expansion))
+                print(expansion)
             else:
                 print(_dump_json(expansion.to_json_dict()))
     except SizeBoundError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import permutations
 from math import factorial
 from typing import Iterator
@@ -175,9 +176,9 @@ def rsk_insert(sigma) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
                 q_rows.append([step])
                 break
             current = p_rows[row]
-            # bump the leftmost entry strictly larger than the incoming value
-            bump = next((j for j, entry in enumerate(current) if entry > value), None)
-            if bump is None:
+            # rows increase, so the leftmost entry larger than value is here
+            bump = bisect_right(current, value)
+            if bump == len(current):
                 current.append(value)
                 q_rows[row].append(step)
                 break

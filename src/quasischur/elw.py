@@ -7,7 +7,7 @@ from typing import Iterator
 
 from .combinatorics import Composition, WeakComposition, pad, set_of_composition
 from .polynomial import QT_ZERO, SparsePoly, antisymmetrize, staircase
-from .quasisym import Expansion
+from .quasisym import Expansion, fundamental_words
 from .schur import straighten
 
 
@@ -78,23 +78,11 @@ class InvolutionStep:
 
 
 def constrained_monomials(alpha) -> Iterator[ConstrainedMonomial]:
-    """All words for alpha, in lexicographic order."""
+    """All words for alpha, in lexicographic order: the monomials of F_alpha
+    in n variables."""
     alpha = Composition(alpha)
-    n = alpha.weight
-    strict_after = set_of_composition(alpha)
-    word: list[int] = []
-
-    def extend(position: int, minimum: int) -> Iterator[ConstrainedMonomial]:
-        if position == n:
-            yield ConstrainedMonomial(alpha, tuple(word))
-            return
-        for value in range(minimum, n + 1):
-            word.append(value)
-            nxt = value + 1 if (position + 1) in strict_after else value
-            yield from extend(position + 1, nxt)
-            word.pop()
-
-    yield from extend(0, 1)
+    for word in fundamental_words(alpha, alpha.weight):
+        yield ConstrainedMonomial(alpha, word)
 
 
 def _word_from_gamma(gamma) -> tuple[int, ...]:

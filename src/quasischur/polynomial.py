@@ -22,6 +22,14 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_list(value) -> list:
+    """An array field of a JSON document, refusing objects and strings rather
+    than reading them as sequences."""
+    if type(value) is not list:
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
 class QT:
     """Element of Z[q,t] stored as a sparse map (q-exp, t-exp) -> nonzero int."""
 
@@ -107,32 +115,6 @@ class QT:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other: "QT") -> "QT":
-        """Exact quotient in Z[q,t]; raises ExactDivisionError otherwise."""
-        if isinstance(other, int):
-            other = QT.integer(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Z[q,t]")
-        rem = dict(self._terms)
-        quot: dict[tuple[int, int], int] = {}
-        dlead = max(other._terms)
-        dcoeff = other._terms[dlead]
-        while rem:
-            rlead = max(rem)
-            qe, te = rlead[0] - dlead[0], rlead[1] - dlead[1]
-            if qe < 0 or te < 0 or rem[rlead] % dcoeff:
-                raise ExactDivisionError("inexact coefficient division in Z[q,t]")
-            c = rem[rlead] // dcoeff
-            quot[(qe, te)] = c
-            for (q2, t2), c2 in other._terms.items():
-                key = (qe + q2, te + t2)
-                new = rem.get(key, 0) - c * c2
-                if new:
-                    rem[key] = new
-                else:
-                    rem.pop(key, None)
-        return QT(quot)
-
     def triples(self) -> list[list[int]]:
         """Serialized form: [[qexp, texp, coeff], ...] sorted by (qexp, texp)."""
         return [[qe, te, c] for (qe, te), c in sorted(self._terms.items())]
@@ -140,7 +122,7 @@ class QT:
     @classmethod
     def from_triples(cls, triples: Iterable[Iterable[int]]) -> "QT":
         out: dict[tuple[int, int], int] = {}
-        for qe, te, c in triples:
+        for qe, te, c in _json_list(triples):
             key = (_json_int(qe), _json_int(te))
             out[key] = out.get(key, 0) + _json_int(c)
         return cls(out)
@@ -343,8 +325,8 @@ class SparsePoly:
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
         nvars = _json_int(doc["vars"])
         terms: dict[tuple[int, ...], QT] = {}
-        for entry in doc["terms"]:
-            exps = tuple(_json_int(e) for e in entry["exps"])
+        for entry in _json_list(doc["terms"]):
+            exps = tuple(_json_int(e) for e in _json_list(entry["exps"]))
             coeff = QT.from_triples(entry["coeff"])
             terms[exps] = terms.get(exps, QT_ZERO) + coeff
         return cls(nvars, terms)
@@ -423,33 +405,31 @@ def vandermonde(n: int) -> SparsePoly:
     return result
 
 
-def _graded_lex_lead(terms: dict[tuple[int, ...], QT]) -> tuple[int, ...]:
-    return max(terms, key=lambda e: (sum(e), e))
-
-
 def _heap_key(exps: tuple[int, ...]) -> tuple:
     # min-heap entry whose smallest element is the graded-lex largest monomial
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _as_plain_int(coeff: QT) -> int | None:
-    terms = coeff._terms
-    if not terms:
-        return 0
-    if len(terms) == 1 and (0, 0) in terms:
-        return terms[(0, 0)]
-    return None
+def _int_terms(p: SparsePoly) -> dict[tuple[int, ...], int]:
+    out = {}
+    for exps, coeff in p.terms():
+        if coeff._terms.keys() != {(0, 0)}:
+            raise TypeError(f"exact_divide needs integer coefficients, got {coeff}")
+        out[exps] = coeff._terms[(0, 0)]
+    return out
 
 
-def _exact_divide_int(
-    p_terms: dict[tuple[int, ...], int],
-    d_terms: dict[tuple[int, ...], int],
-    nvars: int,
-) -> SparsePoly:
-    """Integer-coefficient division loop; the common case for alternants."""
+def exact_divide(p: SparsePoly, d: SparsePoly) -> SparsePoly:
+    """Exact quotient p/d of integer-coefficient polynomials; raises
+    ExactDivisionError on a nonzero remainder and TypeError on a coefficient
+    outside Z."""
+    p._check_compatible(d)
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    d_terms = _int_terms(d)
     dlead = max(d_terms, key=lambda e: (sum(e), e))
     dcoeff = d_terms[dlead]
-    rem = dict(p_terms)
+    rem = _int_terms(p)
     heap = [_heap_key(e) for e in rem]
     heapq.heapify(heap)
     quot: dict[tuple[int, ...], int] = {}
@@ -469,48 +449,6 @@ def _exact_divide_int(
         for exps, dc in d_terms.items():
             key = tuple(a + b for a, b in zip(shift, exps))
             new = rem.get(key, 0) - c * dc
-            if new:
-                if key not in rem:
-                    heapq.heappush(heap, _heap_key(key))
-                rem[key] = new
-            else:
-                rem.pop(key, None)
-    return SparsePoly(nvars, {e: QT.integer(c) for e, c in quot.items()})
-
-
-def exact_divide(p: SparsePoly, d: SparsePoly) -> SparsePoly:
-    """Exact quotient p/d; raises ExactDivisionError on a nonzero remainder."""
-    p._check_compatible(d)
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    p_ints = {e: _as_plain_int(c) for e, c in p._terms.items()}
-    d_ints = {e: _as_plain_int(c) for e, c in d._terms.items()}
-    if all(v is not None for v in p_ints.values()) and all(
-        v is not None for v in d_ints.values()
-    ):
-        return _exact_divide_int(p_ints, d_ints, p.nvars)
-    dlead = _graded_lex_lead(d._terms)
-    dcoeff = d._terms[dlead]
-    rem = dict(p._terms)
-    heap = [_heap_key(e) for e in rem]
-    heapq.heapify(heap)
-    quot: dict[tuple[int, ...], QT] = {}
-    while rem:
-        while heap:
-            key = heapq.heappop(heap)
-            rlead = tuple(-e for e in key[1])
-            if rem.get(rlead):
-                break
-        else:
-            break
-        shift = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(e < 0 for e in shift):
-            raise ExactDivisionError("leading monomial not divisible")
-        c = rem[rlead].exact_div(dcoeff)
-        quot[shift] = c
-        for exps, dc in d._terms.items():
-            key = tuple(a + b for a, b in zip(shift, exps))
-            new = rem.get(key, QT_ZERO) - c * dc
             if new:
                 if key not in rem:
                     heapq.heappush(heap, _heap_key(key))

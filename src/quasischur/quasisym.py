@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Mapping
+from operator import add
+from typing import Iterator, Mapping
 
 from .combinatorics import (
     Composition,
@@ -11,7 +13,7 @@ from .combinatorics import (
     compositions_of,
     set_of_composition,
 )
-from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int
+from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int, _json_list
 from .schur import schur_ssyt
 
 BASES = ("F", "M", "s")
@@ -110,8 +112,8 @@ class Expansion:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Expansion":
         terms: dict[tuple[int, ...], QT] = {}
-        for entry in doc["terms"]:
-            index = tuple(_json_int(i) for i in entry["index"])
+        for entry in _json_list(doc["terms"]):
+            index = tuple(_json_int(i) for i in _json_list(entry["index"]))
             coeff = QT.from_triples(entry["coeff"])
             terms[index] = terms.get(index, QT_ZERO) + coeff
         return cls(doc["basis"], _json_int(doc["degree"]), terms)
@@ -132,47 +134,42 @@ class Expansion:
         return f"Expansion({self})"
 
 
-def fundamental(alpha, nvars: int) -> SparsePoly:
-    """F_alpha(x_1..x_nvars): sum over weakly increasing sequences with a
-    forced strict rise after each descent position of alpha."""
+def fundamental_words(alpha, nvars: int) -> Iterator[tuple[int, ...]]:
+    """The monomials of F_alpha(x_1..x_nvars) as words 1 <= a_1 <= ... <= a_n
+    <= nvars with a strict rise a_i < a_{i+1} at each i in Set(alpha), in
+    lexicographic order.
+
+    Lowering each letter by the number of points of Set(alpha) before it is
+    a bijection onto the weakly increasing words over 1..nvars-len(alpha)+1.
+    """
     alpha = Composition(alpha)
-    n = alpha.weight
-    strict_after = set_of_composition(alpha)
-    counts: dict[tuple[int, ...], int] = {}
-    exps = [0] * nvars
+    raise_by = [i for i, part in enumerate(alpha) for _ in range(part)]
+    letters = range(1, nvars - len(alpha) + 2)
+    for word in combinations_with_replacement(letters, alpha.weight):
+        yield tuple(map(add, word, raise_by))
 
-    def extend(position: int, minimum: int) -> None:
-        if position == n:
-            key = tuple(exps)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        for value in range(minimum, nvars + 1):
-            exps[value - 1] += 1
-            nxt = value + 1 if (position + 1) in strict_after else value
-            extend(position + 1, nxt)
-            exps[value - 1] -= 1
 
-    extend(0, 1)
-    return SparsePoly(nvars, {e: c for e, c in counts.items()})
+def fundamental(alpha, nvars: int) -> SparsePoly:
+    """F_alpha(x_1..x_nvars), one monomial per word of fundamental_words."""
+    terms: dict[tuple[int, ...], int] = {}
+    for word in fundamental_words(alpha, nvars):
+        exps = [0] * nvars
+        for a in word:
+            exps[a - 1] += 1
+        terms[tuple(exps)] = 1
+    return SparsePoly(nvars, terms)
 
 
 def monomial_quasisym(beta, nvars: int) -> SparsePoly:
     """M_beta: sum of x_{i_1}^{beta_1} ... x_{i_l}^{beta_l} over i_1 < ... < i_l."""
     beta = Composition(beta)
-    length = len(beta)
     terms: dict[tuple[int, ...], int] = {}
-
-    def choose(slot: int, minimum: int, exps: list[int]) -> None:
-        if slot == length:
-            terms[tuple(exps)] = 1
-            return
-        for i in range(minimum, nvars - (length - slot) + 2):
-            exps[i - 1] = beta[slot]
-            choose(slot + 1, i + 1, exps)
-            exps[i - 1] = 0
-
-    choose(0, 1, [0] * nvars)
-    return SparsePoly(nvars, {e: c for e, c in terms.items()})
+    for support in combinations(range(nvars), len(beta)):
+        exps = [0] * nvars
+        for i, part in zip(support, beta):
+            exps[i] = part
+        terms[tuple(exps)] = 1
+    return SparsePoly(nvars, terms)
 
 
 def monomial_qs_coefficients(p: SparsePoly) -> dict[Composition, QT]:
@@ -187,8 +184,6 @@ def monomial_qs_coefficients(p: SparsePoly) -> dict[Composition, QT]:
     groups: dict[tuple[int, ...], list[QT]] = {}
     for exps, coeff in p.terms():
         pattern = tuple(e for e in exps if e)
-        if sum(exps) != sum(pattern):
-            raise AssertionError("impossible: dropped nonzero exponent")
         groups.setdefault(pattern, []).append(coeff)
     out: dict[Composition, QT] = {}
     for pattern, coeffs in groups.items():
@@ -197,6 +192,25 @@ def monomial_qs_coefficients(p: SparsePoly) -> dict[Composition, QT]:
             raise ValueError("polynomial is not quasisymmetric")
         out[Composition(pattern)] = coeffs[0]
     return out
+
+
+def _descent_mask(alpha) -> int:
+    """Set(alpha) as a bitmask, bit i-1 standing for the point i; this is the
+    position of alpha in compositions_of."""
+    return sum(1 << (i - 1) for i in set_of_composition(alpha))
+
+
+def _subset_sums(c: list, sign: int) -> None:
+    """One pass per descent position over the subsets S of {1..n-1}, indexed
+    by bitmask: c[S] becomes the sum of c[T] over T <= S for sign 1 (the zeta
+    transform), or of (-1)^(|S|-|T|) c[T] for sign -1 (its Moebius inverse)."""
+    combine = QT.__add__ if sign > 0 else QT.__sub__
+    bit = 1
+    while bit < len(c):
+        for mask in range(len(c)):
+            if mask & bit and c[mask ^ bit]:
+                c[mask] = combine(c[mask], c[mask ^ bit])
+        bit <<= 1
 
 
 def extract_f_expansion(p: SparsePoly) -> Expansion:
@@ -214,20 +228,14 @@ def extract_f_expansion(p: SparsePoly) -> Expansion:
         raise ValueError(
             f"need at least {n} variables to separate degree-{n} fundamentals"
         )
-    c = monomial_qs_coefficients(p)
-    by_set = {set_of_composition(beta): coeff for beta, coeff in c.items()}
-    terms: dict[tuple[int, ...], QT] = {}
+    by_beta = monomial_qs_coefficients(p)
+    c = [QT_ZERO] * (1 << (n - 1))
+    for beta, coeff in by_beta.items():
+        c[_descent_mask(beta)] = coeff
+    _subset_sums(c, -1)
     # a coefficient can be nonzero even where the monomial coefficient
-    # cancels to zero, so sweep every composition of n
-    for alpha in compositions_of(n):
-        sa = set_of_composition(alpha)
-        total = QT_ZERO
-        for other_set, coeff in by_set.items():
-            if other_set <= sa:
-                sign = -1 if (len(sa) - len(other_set)) % 2 else 1
-                total = total + coeff * sign
-        if total:
-            terms[tuple(alpha)] = total
+    # cancels to zero, so read off every composition of n
+    terms = {tuple(alpha): a for alpha, a in zip(compositions_of(n), c) if a}
     return Expansion("F", n, terms)
 
 
@@ -249,12 +257,8 @@ def is_symmetric_expansion(e: Expansion) -> bool:
         return True
     c = [QT_ZERO] * (1 << (n - 1))
     for alpha, coeff in e.terms():
-        c[sum(1 << (i - 1) for i in set_of_composition(alpha))] = coeff
-    for i in range(n - 1):
-        bit = 1 << i
-        for mask in range(len(c)):
-            if mask & bit and c[mask ^ bit]:
-                c[mask] = c[mask] + c[mask ^ bit]
+        c[_descent_mask(alpha)] = coeff
+    _subset_sums(c, 1)
     # compositions_of yields beta in the order of its descent-set bitmask
     by_parts: dict[tuple[int, ...], QT] = {}
     for beta, coeff in zip(compositions_of(n), c):

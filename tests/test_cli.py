@@ -18,13 +18,14 @@ def run_cli(capsys, *argv):
 POLY_X1 = {"vars": 1, "terms": [{"exps": [1], "coeff": [[0, 0, 1]]}]}
 EXPANSION_F1 = {"basis": "F", "degree": 1, "terms": [{"index": [1], "coeff": [[0, 0, 1]]}]}
 NON_INTEGERS = [True, 1.5, "1"]
+NON_ARRAYS = [{}, ""]
 
 
-def non_integer_documents(doc, paths):
+def non_integer_documents(doc, paths, values=NON_INTEGERS):
     cases = []
     for path in paths:
         field = next(key for key in reversed(path) if isinstance(key, str))
-        for value in NON_INTEGERS:
+        for value in values:
             spoiled = json.loads(json.dumps(doc))
             target = spoiled
             for key in path[:-1]:
@@ -87,7 +88,8 @@ class TestFexpand:
         [pytest.param("{nope", id="not-json")]
         + non_integer_documents(
             POLY_X1, [("vars",), ("terms", 0, "exps", 0), ("terms", 0, "coeff", 0, 2)]
-        ),
+        )
+        + non_integer_documents(POLY_X1, [("terms",), ("terms", 0, "coeff")], NON_ARRAYS),
     )
     def test_malformed_json(self, capsys, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -201,7 +203,8 @@ class TestToSchur:
         [pytest.param("not json", id="not-json")]
         + non_integer_documents(
             EXPANSION_F1, [("degree",), ("terms", 0, "index", 0), ("terms", 0, "coeff", 0, 2)]
-        ),
+        )
+        + non_integer_documents(EXPANSION_F1, [("terms",), ("terms", 0, "coeff")], NON_ARRAYS),
     )
     def test_malformed_json_is_usage_error(self, capsys, tmp_path, text):
         doc = tmp_path / "in.json"

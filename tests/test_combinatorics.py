@@ -155,6 +155,16 @@ class TestRsk:
                     assert all(t[i][j] < t[i + 1][j] for j in range(len(t[i + 1])))
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_first_row_is_longest_increasing_subsequence(self, n):
+        # Schensted's theorem
+        for sigma in all_permutation_words(n):
+            longest = []
+            for i, value in enumerate(sigma):
+                before = [longest[j] for j in range(i) if sigma[j] < value]
+                longest.append(1 + max(before, default=0))
+            assert rsk_shape(sigma)[0] == max(longest)
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_inverse_swaps_tableaux(self, n):
         for sigma in all_permutation_words(n):
             p, q = rsk_insert(sigma)

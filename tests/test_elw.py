@@ -14,6 +14,8 @@ from quasischur.elw import (
 from quasischur.quasisym import Expansion, expansion_to_poly, extract_f_expansion
 from quasischur.schur import schur_ssyt, straighten
 
+from test_quasisym import reference_words
+
 
 class TestElwToSchur:
     def test_h_n(self):
@@ -50,6 +52,12 @@ class TestConstrainedMonomials:
     def test_alpha_11(self):
         words = [u.word for u in constrained_monomials((1, 1))]
         assert words == [(1, 2)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_words_are_fundamental_monomials_in_n_variables(self, n):
+        for alpha in compositions_of(n):
+            words = [u.word for u in constrained_monomials(alpha)]
+            assert words == reference_words(alpha, n)
 
     def test_paper_word_appears(self):
         words = {u.word for u in constrained_monomials((2, 3, 3))}

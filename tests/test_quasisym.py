@@ -4,14 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur.combinatorics import compositions_of, partitions_of
-from quasischur.polynomial import Q, QT, SparsePoly, T
+from quasischur.combinatorics import compositions_of, partitions_of, set_of_composition
+from quasischur.polynomial import Q, QT, QT_ZERO, SparsePoly, T
 from quasischur.quasisym import (
     Expansion,
     expansion_to_poly,
     extract_f_expansion,
     fundamental,
+    fundamental_words,
     is_symmetric_expansion,
+    monomial_qs_coefficients,
     monomial_quasisym,
 )
 from quasischur.schur import schur_ssyt
@@ -48,7 +50,28 @@ class TestExpansion:
         assert (a - b) == Expansion("s", 2, {(1, 1): -1})
 
 
+def reference_words(alpha, nvars):
+    """Every weakly increasing word over 1..nvars, filtered by the strict-rise
+    rule at the points of Set(alpha)."""
+    rises = set_of_composition(alpha)
+    return [
+        word
+        for word in itertools.combinations_with_replacement(range(1, nvars + 1), sum(alpha))
+        if all(word[i - 1] < word[i] for i in rises)
+    ]
+
+
 class TestFundamental:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_words_match_filtered_reference(self, n):
+        for alpha in compositions_of(n):
+            for nvars in range(n + 3):
+                words = list(fundamental_words(alpha, nvars))
+                assert words == reference_words(alpha, nvars), (alpha, nvars)
+                poly = fundamental(alpha, nvars)
+                assert len(poly.terms()) == len(words)
+                assert all(c == 1 for _, c in poly.terms())
+
     def test_strict_pair(self):
         assert fundamental((1, 1), 2) == SparsePoly.monomial(2, (1, 1))
 
@@ -124,6 +147,55 @@ class TestExtract:
         }
         e = Expansion("F", n, terms)
         assert extract_f_expansion(expansion_to_poly(e, n)) == e
+
+
+def reference_f_expansion(p: SparsePoly) -> Expansion:
+    """The oracle: a_alpha as the signed sum of c_beta over Set(beta) <=
+    Set(alpha), one composition alpha at a time."""
+    if p.is_zero():
+        return Expansion("F", 0)
+    n = p.degree()
+    by_set = {set_of_composition(b): c for b, c in monomial_qs_coefficients(p).items()}
+    terms = {}
+    for alpha in compositions_of(n):
+        sa = set_of_composition(alpha)
+        total = QT_ZERO
+        for other_set, coeff in by_set.items():
+            if other_set <= sa:
+                total = total + coeff * (-1 if (len(sa) - len(other_set)) % 2 else 1)
+        terms[tuple(alpha)] = total
+    return Expansion("F", n, terms)
+
+
+class TestExtractMatchesReference:
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_every_small_sign_vector(self, n):
+        alphas = [tuple(a) for a in compositions_of(n)]
+        for coeffs in itertools.product((-1, 0, 1), repeat=len(alphas)):
+            e = Expansion("F", n, dict(zip(alphas, coeffs)))
+            p = expansion_to_poly(e, n)
+            assert extract_f_expansion(p) == reference_f_expansion(p)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_random_qt_combinations(self, n):
+        rng = random.Random(2000 + n)
+        alphas = [tuple(a) for a in compositions_of(n)]
+        for _ in range(20):
+            picked = rng.sample(alphas, rng.randint(1, len(alphas)))
+            e = Expansion("F", n, {
+                alpha: QT({(rng.randint(0, 2), rng.randint(0, 2)): rng.choice((-3, -1, 1, 2))
+                           for _ in range(rng.randint(1, 3))})
+                for alpha in picked
+            })
+            assert not e.is_zero()
+            p = expansion_to_poly(e, n)
+            assert extract_f_expansion(p) == reference_f_expansion(p) == e
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_schur_functions(self, n):
+        for lam in partitions_of(n):
+            p = schur_ssyt(lam, n)
+            assert extract_f_expansion(p) == reference_f_expansion(p), lam
 
 
 class TestExpansionToPoly:

@@ -69,7 +69,8 @@ def _read_document(path: str, parse, kind: str):
             with open(path, encoding="utf-8") as handle:
                 doc = json.load(handle)
         return parse(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: the decoder's nesting limit, from a few kB of brackets
         raise CliError(f"cannot read {kind} document: {exc}")
 
 

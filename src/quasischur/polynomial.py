@@ -30,6 +30,55 @@ def _json_list(value) -> list:
     return value
 
 
+_INT_ONLY = frozenset((int,))
+
+
+def _json_ints(values) -> tuple[int, ...]:
+    """An array of integers of a JSON document, as a tuple."""
+    if type(values) is not list:
+        _json_list(values)
+    if not _INT_ONLY.issuperset(map(type, values)):
+        for value in values:
+            _json_int(value)
+    return tuple(values)
+
+
+def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
+    """Add a JSON coefficient [[qexp, texp, coeff], ...] into out, a map
+    (qexp, texp) -> nonzero int, checking each number once; a key whose sum
+    cancels is dropped."""
+    if type(triples) is not list:
+        _json_list(triples)
+    for qe, te, c in triples:
+        if type(qe) is not int or type(te) is not int or type(c) is not int:
+            for value in (qe, te, c):
+                _json_int(value)
+        if qe < 0 or te < 0:
+            raise ValueError("negative q/t exponent")
+        key = (qe, te)
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+
+
+def _json_terms(entries, field: str) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The terms array of a JSON document, read in one pass: each entry's
+    field, an array of integers, maps to the sum of the coefficients of all
+    entries that carry it.  A sum that cancels is left as an empty map."""
+    if type(entries) is not list:
+        _json_list(entries)
+    sums: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for entry in entries:
+        key = _json_ints(entry[field])
+        acc = sums.get(key)
+        if acc is None:
+            acc = sums[key] = {}
+        _add_triples(acc, entry["coeff"])
+    return sums
+
+
 class QT:
     """Element of Z[q,t] stored as a sparse map (q-exp, t-exp) -> nonzero int."""
 
@@ -44,6 +93,14 @@ class QT:
                 if c:
                     cleaned[(qe, te)] = int(c)
         self._terms = cleaned
+
+    @classmethod
+    def _wrap(cls, terms: dict[tuple[int, int], int]) -> "QT":
+        """A QT over a map already free of zero coefficients and negative
+        exponents, taken without copying."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
     def integer(cls, n: int) -> "QT":
@@ -85,14 +142,10 @@ class QT:
                 out[key] = new
             else:
                 out.pop(key, None)
-        result = QT.__new__(QT)
-        result._terms = out
-        return result
+        return QT._wrap(out)
 
     def __neg__(self) -> "QT":
-        result = QT.__new__(QT)
-        result._terms = {key: -c for key, c in self._terms.items()}
-        return result
+        return QT._wrap({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "QT") -> "QT":
         return self + (-other)
@@ -109,9 +162,7 @@ class QT:
                     out[key] = new
                 else:
                     out.pop(key, None)
-        result = QT.__new__(QT)
-        result._terms = out
-        return result
+        return QT._wrap(out)
 
     __rmul__ = __mul__
 
@@ -121,11 +172,10 @@ class QT:
 
     @classmethod
     def from_triples(cls, triples: Iterable[Iterable[int]]) -> "QT":
+        """Read the serialized form; equal (qexp, texp) pairs are added."""
         out: dict[tuple[int, int], int] = {}
-        for qe, te, c in _json_list(triples):
-            key = (_json_int(qe), _json_int(te))
-            out[key] = out.get(key, 0) + _json_int(c)
-        return cls(out)
+        _add_triples(out, triples)
+        return cls._wrap(out)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -286,15 +336,9 @@ class SparsePoly:
                 return False
         return True
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self._terms}
-        return len(degrees) <= 1
-
     def degree(self) -> int:
         """Total degree in the x variables; zero polynomial has degree 0."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms), default=0)
 
     def set_variable_to_zero(self, index: int) -> "SparsePoly":
         """Substitute x_index = 0 and drop the slot (1-based index)."""
@@ -323,13 +367,21 @@ class SparsePoly:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
+        """Read the serialized form in one pass that checks every number.
+        Entries with equal exps are added; terms that cancel are dropped."""
         nvars = _json_int(doc["vars"])
-        terms: dict[tuple[int, ...], QT] = {}
-        for entry in _json_list(doc["terms"]):
-            exps = tuple(_json_int(e) for e in _json_list(entry["exps"]))
-            coeff = QT.from_triples(entry["coeff"])
-            terms[exps] = terms.get(exps, QT_ZERO) + coeff
-        return cls(nvars, terms)
+        if nvars < 0:
+            raise ValueError("variable count must be non-negative")
+        sums = _json_terms(doc["terms"], "exps")
+        for exps in sums:
+            if len(exps) != nvars:
+                raise ValueError(
+                    f"exponent vector {exps} does not match {nvars} variables"
+                )
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = {exps: QT._wrap(acc) for exps, acc in sums.items() if acc}
+        return poly
 
     def __str__(self) -> str:
         if not self._terms:

@@ -13,7 +13,7 @@ from .combinatorics import (
     compositions_of,
     set_of_composition,
 )
-from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int, _json_list
+from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int, _json_terms
 from .schur import schur_ssyt
 
 BASES = ("F", "M", "s")
@@ -45,10 +45,13 @@ class Expansion:
         self._terms = cleaned
 
     def _normalize_index(self, index) -> tuple[int, ...]:
+        # the empty index is the degree-0 basis element F_() = M_() = s_() = 1
         if self.basis == "s":
             index = tuple(Partition(index))
-        else:
+        elif index:
             index = tuple(Composition(index))
+        else:
+            index = ()
         if sum(index) != self.degree:
             raise ValueError(
                 f"index {index} has weight {sum(index)}, expected {self.degree}"
@@ -111,12 +114,18 @@ class Expansion:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "Expansion":
+        """Read the serialized form in one pass that checks every number.
+        Entries with equal index are added; terms that cancel are dropped,
+        after their index is checked."""
+        sums = _json_terms(doc["terms"], "index")
+        result = cls(doc["basis"], _json_int(doc["degree"]))
         terms: dict[tuple[int, ...], QT] = {}
-        for entry in _json_list(doc["terms"]):
-            index = tuple(_json_int(i) for i in _json_list(entry["index"]))
-            coeff = QT.from_triples(entry["coeff"])
-            terms[index] = terms.get(index, QT_ZERO) + coeff
-        return cls(doc["basis"], _json_int(doc["degree"]), terms)
+        for index, acc in sums.items():
+            index = result._normalize_index(index)
+            if acc:
+                terms[index] = QT._wrap(acc)
+        result._terms = terms
+        return result
 
     def __str__(self) -> str:
         if not self._terms:
@@ -172,26 +181,37 @@ def monomial_quasisym(beta, nvars: int) -> SparsePoly:
     return SparsePoly(nvars, terms)
 
 
-def monomial_qs_coefficients(p: SparsePoly) -> dict[Composition, QT]:
-    """Coefficients c_beta of the monomial quasisymmetric expansion of p.
+def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
+    """Coefficients c_beta of the monomial quasisymmetric expansion of p,
+    keyed by Composition, and by () for the constant term.
 
-    Verifies quasisymmetry: every monomial with the same support-composition
-    must carry the same coefficient, and each pattern must occur on every
-    choice of support.
+    Verifies, in one pass over the monomials, homogeneity (every pattern has
+    the same sum) and then quasisymmetry: every monomial with the same
+    support-composition must carry the same coefficient, and each pattern
+    must occur on every choice of support.
     """
-    if not p.is_homogeneous():
-        raise ValueError("polynomial is not homogeneous")
-    groups: dict[tuple[int, ...], list[QT]] = {}
+    first: dict[tuple[int, ...], QT] = {}
+    count: dict[tuple[int, ...], int] = {}
+    agree = True
     for exps, coeff in p.terms():
-        pattern = tuple(e for e in exps if e)
-        groups.setdefault(pattern, []).append(coeff)
-    out: dict[Composition, QT] = {}
-    for pattern, coeffs in groups.items():
-        expected = comb(p.nvars, len(pattern))
-        if len(coeffs) != expected or any(c != coeffs[0] for c in coeffs):
-            raise ValueError("polynomial is not quasisymmetric")
-        out[Composition(pattern)] = coeffs[0]
-    return out
+        pattern = tuple(filter(None, exps))
+        seen = first.get(pattern)
+        if seen is None:
+            first[pattern] = coeff
+            count[pattern] = 1
+        else:
+            count[pattern] += 1
+            if seen._terms != coeff._terms:
+                agree = False
+    if len(set(map(sum, first))) > 1:
+        raise ValueError("polynomial is not homogeneous")
+    nvars = p.nvars
+    if not agree or any(k != comb(nvars, len(b)) for b, k in count.items()):
+        raise ValueError("polynomial is not quasisymmetric")
+    return {
+        Composition(pattern) if pattern else (): coeff
+        for pattern, coeff in first.items()
+    }
 
 
 def _descent_mask(alpha) -> int:
@@ -229,6 +249,9 @@ def extract_f_expansion(p: SparsePoly) -> Expansion:
             f"need at least {n} variables to separate degree-{n} fundamentals"
         )
     by_beta = monomial_qs_coefficients(p)
+    if n == 0:
+        # a constant c is c*M_() = c*F_()
+        return Expansion("F", 0, by_beta)
     c = [QT_ZERO] * (1 << (n - 1))
     for beta, coeff in by_beta.items():
         c[_descent_mask(beta)] = coeff
@@ -277,5 +300,6 @@ def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:
     build = builders[e.basis]
     total = SparsePoly.zero(nvars)
     for index, coeff in e.terms():
-        total = total + build(index, nvars).scalar_mul(coeff)
+        poly = build(index, nvars) if index else SparsePoly.one(nvars)
+        total = total + poly.scalar_mul(coeff)
     return total

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasischur.cli import main
 
@@ -95,6 +98,36 @@ class TestFexpand:
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         code, out, err = run_cli(capsys, "fexpand", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    def test_constant_is_degree_zero(self, capsys, monkeypatch, nvars):
+        # F_() = 1 = s_(): a constant c is c*F[] and then c*s[]
+        doc = {"vars": nvars, "terms": [
+            {"exps": [0] * nvars, "coeff": [[0, 0, 2], [1, 2, -3]]},
+            {"exps": [0] * nvars, "coeff": [[0, 0, -1]]},
+        ]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "fexpand", "-")
+        coeff = [[0, 0, 1], [1, 2, -3]]
+        assert (code, json.loads(out)) == (
+            0, {"basis": "F", "degree": 0, "terms": [{"index": [], "coeff": coeff}]})
+        for flags in ([], ["--verify-symmetric"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            code, s_out, _ = run_cli(capsys, "toschur", *flags, "-")
+            assert (code, json.loads(s_out)) == (
+                0, {"basis": "s", "degree": 0, "terms": [{"index": [], "coeff": coeff}]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "fexpand", "--text", "-")
+        assert (code, out) == (0, "(1 + -3*q*t^2)*F[]\n")
+
+    @pytest.mark.parametrize("exps", [[-1, 1], [1, -1], [-1, 0]])
+    def test_negative_exponent_rejected(self, capsys, monkeypatch, exps):
+        doc = {"vars": 2, "terms": [{"exps": exps, "coeff": [[0, 0, 1]]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "fexpand", "-")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
@@ -212,6 +245,86 @@ class TestToSchur:
         code, out, err = run_cli(capsys, "toschur", str(doc))
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+def mostly(valid, junk):
+    """valid four times in five, else junk."""
+    return st.integers(0, 4).flatmap(lambda k: junk if k == 0 else valid)
+
+
+class TestDocumentReading:
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["fexpand", "toschur"])
+    def test_deep_nesting_is_usage_error(self, capsys, tmp_path, monkeypatch, command, source):
+        # 6 kB of brackets exceed the JSON decoder's nesting limit
+        text = "[" * 3000 + "]" * 3000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            argument = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            argument = "-"
+        code, out, err = run_cli(capsys, command, argument)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ")
+        assert "recursion" in err
+
+    # JSON trees of bounded depth, mixing the documents' keys and every JSON
+    # type, some shaped like documents so that the readers get past the top
+    LEAVES = st.one_of(
+        st.integers(-2, 4), st.booleans(), st.none(),
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["F", "M", "s", "", "1"]),
+    )
+    TREES = st.recursive(
+        LEAVES,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+            st.sampled_from(["vars", "terms", "exps", "coeff", "basis", "degree", "index"]),
+            kids, max_size=4),
+        max_leaves=16,
+    )
+
+    NUMBER = mostly(st.integers(0, 2), st.integers(-1, 3) | LEAVES)
+    TRIPLE = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2)).map(list)
+    COEFF = mostly(st.lists(mostly(TRIPLE, st.lists(NUMBER, max_size=4)), max_size=2), LEAVES)
+    POLY = st.fixed_dictionaries({
+        "vars": mostly(st.integers(0, 2), NUMBER),
+        "terms": st.lists(st.fixed_dictionaries(
+            {"exps": st.lists(NUMBER, max_size=2), "coeff": COEFF}), max_size=3),
+    })
+    EXPANSION = st.fixed_dictionaries({
+        "basis": mostly(st.just("F"), LEAVES),
+        "degree": mostly(st.integers(0, 3), NUMBER),
+        "terms": st.lists(st.fixed_dictionaries({
+            "index": mostly(st.sampled_from([[], [1], [2], [1, 1], [3], [2, 1], [1, 2]]),
+                            st.lists(NUMBER, max_size=3)),
+            "coeff": COEFF,
+        }), max_size=3),
+    })
+    COMMANDS = [["fexpand"], ["fexpand", "--text"], ["toschur"], ["toschur", "--verify-symmetric"]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        argv = data.draw(st.sampled_from(self.COMMANDS))
+        shaped = self.POLY if argv[0] == "fexpand" else self.EXPANSION
+        doc = data.draw(self.TREES | shaped)
+        out, err = io.StringIO(), io.StringIO()
+        saved = sys.stdin
+        sys.stdin = io.StringIO(json.dumps(doc))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--max-n", "6", "-"])
+        finally:
+            sys.stdin = saved
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert out.endswith("\n") and err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
+            assert code == 2 or "not symmetric" in err
 
 
 class TestSizeBound:

@@ -44,6 +44,18 @@ class TestExpansion:
         indices = [tuple(t["index"]) for t in e.to_json_dict()["terms"]]
         assert indices == sorted(indices)
 
+    @pytest.mark.parametrize("basis", ["F", "M", "s"])
+    def test_empty_index_only_at_degree_zero(self, basis):
+        # F_() = M_() = s_() = 1
+        e = Expansion(basis, 0, {(): QT.integer(3) + T})
+        assert Expansion.from_json_dict(e.to_json_dict()) == e
+        assert expansion_to_poly(e, 2) == SparsePoly.one(2).scalar_mul(QT.integer(3) + T)
+        for degree in (1, 2):
+            with pytest.raises(ValueError):
+                Expansion(basis, degree, {(): 1})
+        with pytest.raises(ValueError):
+            Expansion(basis, 0, {(0,): 1})
+
     def test_subtraction(self):
         a = Expansion("s", 2, {(2,): 1})
         b = Expansion("s", 2, {(2,): 1, (1, 1): 1})
@@ -115,6 +127,12 @@ class TestExtract:
         p = SparsePoly.monomial(3, (2, 1, 0))
         with pytest.raises(ValueError):
             extract_f_expansion(p)
+
+    @pytest.mark.parametrize("nvars", [0, 1, 4])
+    def test_constant_is_degree_zero(self, nvars):
+        p = SparsePoly.one(nvars).scalar_mul(Q - 2)
+        assert extract_f_expansion(p) == Expansion("F", 0, {(): Q - 2})
+        assert expansion_to_poly(extract_f_expansion(p), nvars) == p
 
     def test_inhomogeneous_rejected(self):
         p = SparsePoly.monomial(2, (1, 0)) + SparsePoly.one(2)

@@ -189,19 +189,46 @@ def rsk_insert(sigma) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
 
 
 def rsk_shape(sigma) -> Partition:
-    p, _ = rsk_insert(sigma)
-    return Partition(len(row) for row in p)
+    """Shape of the Schensted tableaux of a permutation word.
+
+    Row insertion builds only the insertion tableau P, as lists, since the
+    shape needs neither the recording tableau Q nor frozen rows; rsk_insert
+    is the full insertion with the same permutation check.
+    """
+    sigma = tuple(sigma)
+    n = len(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
+    rows: list[list[int]] = []
+    for value in sigma:
+        for row in rows:
+            bump = bisect_right(row, value)
+            if bump == len(row):
+                row.append(value)
+                break
+            row[bump], value = value, row[bump]
+        else:
+            rows.append([value])
+    return Partition(map(len, rows))
 
 
 def permutation_sign(perm) -> int:
-    """Sign of a permutation given as a word over 0..n-1 or 1..n."""
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation given as a word over 0..n-1 or 1..n.
+
+    One pass over the cycles: the sign is (-1)^(n - number of cycles).
+    """
+    base = min(perm, default=0)
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycles += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j] - base
+    return -1 if (len(perm) - cycles) % 2 else 1
 
 
 def all_permutation_words(n: int) -> Iterator[tuple[int, ...]]:

@@ -22,7 +22,10 @@ def elw_to_schur(e: Expansion) -> Expansion:
     n = e.degree
     terms: dict[tuple[int, ...], object] = {}
     for alpha, coeff in e.terms():
-        normal = straighten(pad(alpha, n))
+        # alpha has positive parts, so padding it with zeros to n parts only
+        # appends a staircase tail below its shifted entries: unpadded, it
+        # straightens to the same value without touching n entries
+        normal = straighten(alpha)
         if normal.is_zero():
             continue
         key = tuple(normal.shape)

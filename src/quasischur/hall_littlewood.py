@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, permutations
-from operator import gt
+from operator import gt, itemgetter
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -14,13 +14,12 @@ from .combinatorics import (
     composition_of_set,
     descent_set,
     inverse_permutation,
-    pad,
     rsk_shape,
 )
 from .elw import elw_to_schur
 from .polynomial import QT, QT_ZERO
 from .quasisym import Expansion, is_symmetric_expansion
-from .schur import SignedSchur, straighten
+from .schur import straighten
 
 DEFAULT_MAX_N = 9
 
@@ -130,23 +129,29 @@ def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[Filling]:
 
     A depth-first walk from the bottom row up: level i picks row i's entries
     from the values not yet used.  The bottom row holds its entries in
-    increasing order; each higher row is the forced inversion-free ordering
-    of its entries over the row already chosen below it, so a forced row is
-    computed once per shared lower part of the filling.  The order in which
-    the fillings are yielded is not part of this contract.
+    increasing order; each higher row of two or more cells is the forced
+    inversion-free ordering of its entries over the row already chosen below
+    it, so a forced row is computed once per shared lower part of the
+    filling.  From the first one-cell row up every row has one cell, and a
+    one-cell row makes no inversion triple, so those rows take the remaining
+    values in every order: one permutation of them, not one level per row.
+    The order in which the fillings are yielded is not part of this contract.
     """
     mu = Partition(mu)
     _check_bound(mu.weight, max_n)
-    k = len(mu)
-    rows: list[tuple[int, ...]] = [()] * k
+    # rows from index tail on have one cell
+    tail = next((i for i, part in enumerate(mu) if part == 1), len(mu))
+    rows: list[tuple[int, ...]] = [()] * tail
 
     def place(level: int, free: tuple[int, ...]) -> Iterator[Filling]:
-        if level == k:
-            yield Filling(mu, tuple(rows))
+        if level == tail:
+            lower = tuple(rows)
+            for order in permutations(free):
+                # zip(order) gives the singleton rows (v,)
+                yield Filling(mu, lower + tuple(zip(order)))
             return
-        # combinations are increasing, which is the bottom row's order, and a
-        # one-cell row has a single ordering
-        forced = level > 0 and mu[level] > 1
+        # combinations are increasing, which is the bottom row's order
+        forced = level > 0
         for block in combinations(free, mu[level]):
             rows[level] = _force_row(rows[level - 1], block) if forced else block
             yield from place(level + 1, tuple(v for v in free if v not in block))
@@ -238,74 +243,87 @@ def _t_polynomial(census: dict[int, int]) -> QT:
     return QT({(0, texp): count for texp, count in census.items()})
 
 
+def _picker(positions: list[int]):
+    """itemgetter for positions that returns a tuple for any count."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    return lambda word: tuple(word[p] for p in positions)
+
+
 def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
     """Classify each inversion-free filling by the sign of its straightened
     descent-composition Schur value, keep the plus-class fillings whose
     Schensted shape matches the straightened shape, and compare the resulting
     sum against the true expansion, built from the same walk.
 
-    The statistics are read off the rows directly: pides from the positions
-    of i and i + 1 in the reading word, maj from vertically adjacent cells.
-    Each descent mask is straightened once."""
+    The statistics are read off the reading word in one pass each: pides
+    from the positions of i and i + 1, maj from the vertically adjacent
+    cells.  Each descent mask is straightened once, and the fillings are
+    counted per mask and maj; the class counts are read off that census
+    after the walk."""
     mu = Partition(mu)
     n = mu.weight
-    # row_weights[r][j]: the position in column j's top-to-bottom word of a
-    # descent between rows r + 1 and r, which is the column's height less r + 1
-    row_weights = [
-        [sum(1 for part in mu if part > j) - r - 1 for j in range(mu[r + 1])]
-        for r in range(len(mu) - 1)
-    ]
-    # mask -> (pides, its straightened Schur value, maj -> filling count)
-    by_mask: dict[tuple[bool, ...], tuple[tuple[int, ...], SignedSchur, dict]] = {}
-    counts = {"zero": 0, "minus": 0, "plus": 0}
-    # shape -> maj -> kept filling count
-    kept_census: dict[tuple[int, ...], dict[int, int]] = {}
-    kept = 0
-    total_fillings = 0
+    # the cell in column j of row r (0 = bottom) sits at position
+    # starts[r] + j of the reading word, which lists the rows top down
+    starts = [sum(mu[r + 1 :]) for r in range(len(mu))]
+    ups: list[int] = []
+    downs: list[int] = []
+    # a descent between rows r + 1 and r in column j sits at position
+    # height(j) - r - 1 of the column's top-to-bottom word
+    weights: list[int] = []
+    for r in range(len(mu) - 1):
+        for j in range(mu[r + 1]):
+            ups.append(starts[r + 1] + j)
+            downs.append(starts[r] + j)
+            weights.append(sum(1 for part in mu if part > j) - r - 1)
+    up, down = _picker(ups), _picker(downs)
+    positions = range(n)
+    # mask -> (pides, straightened Schur value, maj -> filling count,
+    # maj -> kept filling count, or None off the plus class)
+    by_mask: dict[tuple[bool, ...], tuple] = {}
     for f in inv_zero_fillings(mu, max_n=max_n):
-        total_fillings += 1
-        rows = f.rows
         sigma = f.reading_word
         # where[v - 1] is the position of v in sigma; i is a descent of
         # sigma^-1 exactly when i sits after i + 1
-        where = sorted(range(n), key=sigma.__getitem__)
+        where = sorted(positions, key=sigma.__getitem__)
         mask = tuple(map(gt, where, where[1:]))
-        maj = 0
-        for r, weights in enumerate(row_weights):
-            maj += sum(compress(weights, map(gt, rows[r + 1], rows[r])))
+        maj = sum(compress(weights, map(gt, up(sigma), down(sigma))))
         entry = by_mask.get(mask)
         if entry is None:
             descents = {i + 1 for i, d in enumerate(mask) if d}
             index = tuple(composition_of_set(descents, n))
-            entry = by_mask[mask] = (index, straighten(pad(index, n)), {})
-        _, normal, majs = entry
+            normal = straighten(index)
+            entry = by_mask[mask] = (
+                index, normal, {}, {} if normal.sign > 0 else None
+            )
+        _, normal, majs, kept_majs = entry
         majs[maj] = majs.get(maj, 0) + 1
-        if normal.is_zero():
-            counts["zero"] += 1
-            continue
-        if normal.sign < 0:
-            counts["minus"] += 1
-            continue
-        counts["plus"] += 1
-        if rsk_shape(sigma) != normal.shape:
-            continue
-        kept += 1
-        kept_majs = kept_census.setdefault(tuple(normal.shape), {})
-        kept_majs[maj] = kept_majs.get(maj, 0) + 1
+        if kept_majs is not None and rsk_shape(sigma) == normal.shape:
+            kept_majs[maj] = kept_majs.get(maj, 0) + 1
+    counts = {"zero": 0, "minus": 0, "plus": 0}
+    # shape -> maj -> kept filling count
+    kept_census: dict[tuple[int, ...], dict[int, int]] = {}
+    for _, normal, majs, kept_majs in by_mask.values():
+        sign_class = "zero" if normal.is_zero() else "minus" if normal.sign < 0 else "plus"
+        counts[sign_class] += sum(majs.values())
+        if kept_majs:
+            shape_majs = kept_census.setdefault(tuple(normal.shape), {})
+            for maj, count in kept_majs.items():
+                shape_majs[maj] = shape_majs.get(maj, 0) + count
     conjectured = Expansion(
         "s", n, {shape: _t_polynomial(m) for shape, m in kept_census.items()}
     )
     # the F-to-s replacement is linear, so this walk's F-expansion gives the
     # true expansion without walking the fillings again in hll_expansion
-    f_terms = {index: _t_polynomial(m) for index, _, m in by_mask.values()}
+    f_terms = {index: _t_polynomial(m) for index, _, m, _ in by_mask.values()}
     true_expansion = elw_to_schur(Expansion("F", n, f_terms))
     return ExperimentReport(
         mu=mu,
-        filling_count=total_fillings,
+        filling_count=sum(counts.values()),
         zero_count=counts["zero"],
         minus_count=counts["minus"],
         plus_count=counts["plus"],
-        kept_count=kept,
+        kept_count=sum(sum(m.values()) for m in kept_census.values()),
         conjectured=conjectured,
         true_expansion=true_expansion,
         discrepancy=true_expansion - conjectured,

@@ -246,6 +246,20 @@ class TestToSchur:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("index", [[100000], [1] * 100000], ids=["one-part", "one-per-part"])
+    def test_large_degree_is_cheap(self, index):
+        # straightening an unpadded index takes time in its length, not in the
+        # degree; padding to the degree and counting inversions took minutes
+        doc = {"basis": "F", "degree": 100000, "terms": [{"index": index, "coeff": [[0, 0, 1]]}]}
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasischur", "toschur", "--text", "-"],
+            input=json.dumps(doc, separators=(",", ":")).encode(),
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == f"1*s[{','.join(map(str, index))}]\n"
+
 
 def mostly(valid, junk):
     """valid four times in five, else junk."""
@@ -325,6 +339,60 @@ class TestDocumentReading:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1, err
             assert code == 2 or "not symmetric" in err
+
+
+class TestArgv:
+    """Generated argv for the commands that read integers from their
+    arguments.  --max-n is at most 5, so every example stays cheap."""
+
+    @staticmethod
+    def ints(parts, min_size):
+        return st.lists(parts, min_size=min_size, max_size=4).map(
+            lambda xs: ",".join(map(str, xs)))
+
+    # mostly lists of weight <= 5 or so, else arbitrary text
+    TEXT = mostly(
+        ints(st.integers(1, 2), 1),
+        st.one_of(ints(st.integers(-1, 4), 0), st.text(max_size=10),
+                  st.text("0123456789,- ", max_size=8)),
+    )
+    INT = mostly(st.integers(1, 5).map(str), st.integers(-2, 6).map(str) | st.text(max_size=4))
+    MAX_N = mostly(st.just("5"), st.integers(-1, 4).map(str))
+
+    COMMANDS = ["straighten", "fundamental", "hll", "positivity", "verify-involution"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        def flags(*names):
+            return data.draw(st.lists(st.sampled_from(names), unique=True))
+
+        command = data.draw(st.sampled_from(self.COMMANDS))
+        argv = [command]
+        if command == "straighten":
+            argv += flags("--json")
+        elif command == "fundamental":
+            argv += flags("--text")
+            if data.draw(st.booleans()):
+                argv += ["--vars", data.draw(self.INT)]
+        elif command == "hll":
+            argv += flags("--experiment", "--text")
+        if command != "straighten":
+            argv += ["--max-n", data.draw(self.MAX_N)]
+        argv.append(data.draw(self.INT if command == "positivity" else self.TEXT))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err
+        if "error:" in err.rstrip("\n").rsplit("\n", 1)[-1]:
+            assert (code, out) == (2, ""), argv
+        else:
+            assert code != 2, argv
 
 
 class TestSizeBound:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from quasischur.combinatorics import (
     inverse_permutation,
     pad,
     partitions_of,
+    permutation_sign,
     rsk_insert,
     rsk_shape,
     set_of_composition,
@@ -164,6 +167,18 @@ class TestRsk:
                 longest.append(1 + max(before, default=0))
             assert rsk_shape(sigma)[0] == max(longest)
 
+    def test_shape_rejects_non_permutation(self):
+        for word in [(1, 1, 2), (0, 1, 2), (1, 2, 4), (2,)]:
+            with pytest.raises(ValueError):
+                rsk_shape(word)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_shape_is_the_shape_of_p(self, n):
+        # rsk_insert, with both tableaux, is the oracle for the P-only shape
+        for sigma in all_permutation_words(n):
+            p, _ = rsk_insert(sigma)
+            assert rsk_shape(sigma) == Partition(map(len, p)), sigma
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_inverse_swaps_tableaux(self, n):
         for sigma in all_permutation_words(n):
@@ -183,3 +198,19 @@ def test_compositions_of_counts():
 def test_partitions_of_counts():
     counts = [len(list(partitions_of(n))) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+
+def inversion_sign(perm):
+    """The sign as the parity of the inversion count, the O(n^2) oracle."""
+    inversions = sum(
+        perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+    )
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_permutation_sign_matches_inversion_parity(n):
+    for perm in permutations(range(n)):
+        expected = inversion_sign(perm)
+        assert permutation_sign(perm) == expected, perm
+        assert permutation_sign(tuple(v + 1 for v in perm)) == expected, perm

@@ -38,6 +38,14 @@ from quasischur.schur import straighten
 ORACLE_SHAPES = [mu for n in range(1, 8) for mu in partitions_of(n)] + [
     Partition((3, 3, 3))
 ]
+# the slow tier adds every shape of weight 8, and for the experiment the
+# shapes whose fillings come mostly from the one-cell-row permutation tail:
+# 8!, 8!/2 and 8!/4 fillings
+WEIGHT_EIGHT = [pytest.param(mu, marks=pytest.mark.slow) for mu in partitions_of(8)]
+TAIL_SHAPES = [
+    pytest.param(Partition(mu), marks=pytest.mark.slow)
+    for mu in [(1,) * 8, (2,) + (1,) * 6, (2, 2) + (1,) * 4]
+]
 
 
 def shape_id(mu):
@@ -217,7 +225,7 @@ class TestInvZeroFillings:
         with pytest.raises(SizeBoundError):
             list(inv_zero_fillings((10,), max_n=9))
 
-    @pytest.mark.parametrize("mu", ORACLE_SHAPES, ids=shape_id)
+    @pytest.mark.parametrize("mu", ORACLE_SHAPES + WEIGHT_EIGHT, ids=shape_id)
     def test_matches_reference_walk(self, mu):
         fillings = list(inv_zero_fillings(mu))
         assert len(fillings) == len(set(fillings))
@@ -298,7 +306,7 @@ class TestLeftoverExperiment:
             == report.filling_count
         )
 
-    @pytest.mark.parametrize("mu", ORACLE_SHAPES, ids=shape_id)
+    @pytest.mark.parametrize("mu", ORACLE_SHAPES + TAIL_SHAPES, ids=shape_id)
     def test_matches_reference_experiment(self, mu):
         assert (
             leftover_experiment(mu).to_json_dict()

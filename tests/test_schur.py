@@ -1,6 +1,6 @@
 import pytest
 
-from quasischur.combinatorics import Partition, pad, partitions_of
+from quasischur.combinatorics import Partition, compositions_of, pad, partitions_of
 from quasischur.polynomial import SparsePoly
 from quasischur.schur import (
     SignedSchur,
@@ -63,6 +63,13 @@ class TestStraighten:
                             assert b.is_zero()
                         else:
                             assert b == SignedSchur.of(-a.sign, a.shape)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_padding_does_not_change_a_composition(self, n):
+        # the padded zeros shift to a staircase tail below the shifted parts
+        for alpha in compositions_of(n):
+            for m in range(len(alpha), n + 4):
+                assert straighten(alpha) == straighten(pad(alpha, m)), (alpha, m)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_partitions_fixed(self, n):

@@ -5,12 +5,20 @@ applying the F -> s replacement yields the Schur expansion with polynomial
 t-coefficients; every coefficient comes out non-negative.
 """
 
-from quasischur import hll_expansion, inv_zero_fillings, maj_stat, partitions_of, pides
+from quasischur import (
+    Filling,
+    hll_expansion,
+    inv_zero_fillings,
+    maj_stat,
+    partitions_of,
+    pides,
+)
 
 mu = (2, 2)
 print(f"inversion-free fillings of {mu}:")
-for f in inv_zero_fillings(mu):
-    sigma = f.reading_word
+# the walk yields reading words (top row first); Filling gives the rows
+for sigma in inv_zero_fillings(mu):
+    f = Filling.from_reading_word(mu, sigma)
     print(f"  rows={f.rows}  word={sigma}  maj={maj_stat(f)}  pides={tuple(pides(sigma))}")
 
 print()

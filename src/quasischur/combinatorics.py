@@ -209,7 +209,9 @@ def rsk_shape(sigma) -> Partition:
             row[bump], value = value, row[bump]
         else:
             rows.append([value])
-    return Partition(map(len, rows))
+    # row insertion keeps the row lengths weakly decreasing, so the shape
+    # needs none of Partition's checks
+    return tuple.__new__(Partition, map(len, rows))
 
 
 def permutation_sign(perm) -> int:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, permutations
-from operator import gt, itemgetter
+from itertools import chain, combinations, compress, permutations, repeat
+from operator import add, gt, itemgetter
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -124,8 +124,10 @@ def _force_row(row_below: tuple[int, ...], entries: Iterable[int]) -> tuple[int,
     return tuple(row)
 
 
-def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[Filling]:
-    """One inversion-free filling per ordered set decomposition of {1..n}.
+def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[int, ...]]:
+    """The reading word of one inversion-free filling per ordered set
+    decomposition of {1..n}: a plain tuple listing the rows top to bottom,
+    each left to right, as Filling.reading_word does.
 
     A depth-first walk from the bottom row up: level i picks row i's entries
     from the values not yet used.  The bottom row holds its entries in
@@ -134,21 +136,32 @@ def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[Filling]:
     it, so a forced row is computed once per shared lower part of the
     filling.  From the first one-cell row up every row has one cell, and a
     one-cell row makes no inversion triple, so those rows take the remaining
-    values in every order: one permutation of them, not one level per row.
-    The order in which the fillings are yielded is not part of this contract.
+    values in every order: one permutation of them, prefixed to the word of
+    the lower part.  Once per lower part the walk checks that its rows have
+    the lengths of the shape and that they and the remaining values hold
+    1..n once each, and raises ValueError otherwise; each permutation of the
+    remaining values then makes the word a bijective filling of mu.  The
+    order in which the words are yielded is not part of this contract.
     """
     mu = Partition(mu)
     _check_bound(mu.weight, max_n)
+    values = list(range(1, mu.weight + 1))
     # rows from index tail on have one cell
     tail = next((i for i, part in enumerate(mu) if part == 1), len(mu))
+    lengths = tuple(mu[:tail])
     rows: list[tuple[int, ...]] = [()] * tail
 
-    def place(level: int, free: tuple[int, ...]) -> Iterator[Filling]:
+    def place(level: int, free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == tail:
-            lower = tuple(rows)
-            for order in permutations(free):
-                # zip(order) gives the singleton rows (v,)
-                yield Filling(mu, lower + tuple(zip(order)))
+            if (
+                tuple(map(len, rows)) != lengths
+                or sorted(chain(free, *rows)) != values
+            ):
+                raise ValueError(
+                    f"rows {rows} over {free} are not a bijective filling of {mu}"
+                )
+            lower_word = tuple(chain.from_iterable(reversed(rows)))
+            yield from map(add, permutations(free), repeat(lower_word))
             return
         # combinations are increasing, which is the bottom row's order
         forced = level > 0
@@ -156,7 +169,7 @@ def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[Filling]:
             rows[level] = _force_row(rows[level - 1], block) if forced else block
             yield from place(level + 1, tuple(v for v in free if v not in block))
 
-    yield from place(0, tuple(range(1, mu.weight + 1)))
+    yield from place(0, tuple(values))
 
 
 def all_fillings(mu) -> Iterator[Filling]:
@@ -182,19 +195,31 @@ def haglund_expansion(mu) -> Expansion:
     return Expansion("F", mu.weight, terms)
 
 
+def _t_polynomial(census: dict[int, int]) -> QT:
+    """The sum of count * t^texp over a census mapping texp -> count."""
+    return QT({(0, texp): count for texp, count in census.items()})
+
+
 def hl_fundamental_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
     """F-expansion of the modified Hall-Littlewood polynomial: the q = 0
     specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
 
-    It reads each filling through maj_stat and pides, independently of the
-    inline statistics in leftover_experiment, so hll_expansion is the
-    independent check of that experiment's true side."""
+    It turns each reading word into a validated Filling and reads it through
+    maj_stat and pides, independently of the inline statistics in
+    leftover_experiment, so hll_expansion is the independent check of that
+    experiment's true side.  The fillings are counted per pides index and
+    maj, and each index gets one coefficient after the walk."""
     mu = Partition(mu)
-    terms: dict[tuple[int, ...], QT] = {}
-    for f in inv_zero_fillings(mu, max_n=max_n):
-        coeff = QT.term(1, texp=maj_stat(f))
-        index = tuple(pides(f.reading_word))
-        terms[index] = terms.get(index, QT_ZERO) + coeff
+    # row r (0 = bottom) of a filling is word[row_slices[r]]
+    ends = [sum(mu[r:]) for r in range(len(mu) + 1)]
+    row_slices = [slice(ends[r + 1], ends[r]) for r in range(len(mu))]
+    # pides index -> maj -> filling count
+    census: dict[tuple[int, ...], dict[int, int]] = {}
+    for word in inv_zero_fillings(mu, max_n=max_n):
+        maj = maj_stat(Filling(mu, tuple(word[s] for s in row_slices)))
+        majs = census.setdefault(tuple(pides(word)), {})
+        majs[maj] = majs.get(maj, 0) + 1
+    terms = {index: _t_polynomial(majs) for index, majs in census.items()}
     return Expansion("F", mu.weight, terms)
 
 
@@ -238,11 +263,6 @@ class ExperimentReport:
         }
 
 
-def _t_polynomial(census: dict[int, int]) -> QT:
-    """The sum of count * t^texp over a census mapping texp -> count."""
-    return QT({(0, texp): count for texp, count in census.items()})
-
-
 def _picker(positions: list[int]):
     """itemgetter for positions that returns a tuple for any count."""
     if len(positions) >= 2:
@@ -281,8 +301,7 @@ def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
     # mask -> (pides, straightened Schur value, maj -> filling count,
     # maj -> kept filling count, or None off the plus class)
     by_mask: dict[tuple[bool, ...], tuple] = {}
-    for f in inv_zero_fillings(mu, max_n=max_n):
-        sigma = f.reading_word
+    for sigma in inv_zero_fillings(mu, max_n=max_n):
         # where[v - 1] is the position of v in sigma; i is a descent of
         # sigma^-1 exactly when i sits after i + 1
         where = sorted(positions, key=sigma.__getitem__)

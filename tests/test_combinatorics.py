@@ -177,7 +177,9 @@ class TestRsk:
         # rsk_insert, with both tableaux, is the oracle for the P-only shape
         for sigma in all_permutation_words(n):
             p, _ = rsk_insert(sigma)
-            assert rsk_shape(sigma) == Partition(map(len, p)), sigma
+            shape = rsk_shape(sigma)
+            assert type(shape) is Partition, sigma
+            assert shape == Partition(map(len, p)), sigma
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_inverse_swaps_tableaux(self, n):

@@ -11,6 +11,7 @@ from quasischur.combinatorics import (
     partitions_of,
     rsk_shape,
 )
+from quasischur import hall_littlewood
 from quasischur.hall_littlewood import (
     ExperimentReport,
     Filling,
@@ -205,9 +206,7 @@ class TestInvZeroFillings:
         assert len(fillings) == 2
 
     def test_row_shape(self):
-        fillings = list(inv_zero_fillings((2,)))
-        assert len(fillings) == 1
-        assert fillings[0].rows == ((1, 2),)
+        assert list(inv_zero_fillings((2,))) == [(1, 2)]
 
     def test_333_count(self):
         assert sum(1 for _ in inv_zero_fillings((3, 3, 3))) == 1680
@@ -216,8 +215,10 @@ class TestInvZeroFillings:
     def test_census_and_inversion_free(self, n):
         for mu in partitions_of(n):
             count = 0
-            for f in inv_zero_fillings(mu):
-                assert inv_stat(f) == 0
+            for word in inv_zero_fillings(mu):
+                assert type(word) is tuple
+                assert sorted(word) == list(range(1, n + 1))
+                assert inv_stat(Filling.from_reading_word(mu, word)) == 0
                 count += 1
             assert count == decomposition_count(mu)
 
@@ -227,9 +228,27 @@ class TestInvZeroFillings:
 
     @pytest.mark.parametrize("mu", ORACLE_SHAPES + WEIGHT_EIGHT, ids=shape_id)
     def test_matches_reference_walk(self, mu):
-        fillings = list(inv_zero_fillings(mu))
-        assert len(fillings) == len(set(fillings))
-        assert set(fillings) == set(reference_inv_zero_fillings(mu))
+        words = list(inv_zero_fillings(mu))
+        assert len(words) == len(set(words))
+        assert set(words) == {f.reading_word for f in reference_inv_zero_fillings(mu)}
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda row: row[:-1],  # drops an entry
+            lambda row: row[:-1] + row[:1],  # repeats an entry
+        ],
+        ids=["drop", "repeat"],
+    )
+    @pytest.mark.parametrize("mu", [(2, 2), (3, 2, 1), (2, 2, 2, 1, 1)], ids=shape_id)
+    def test_faulty_forced_row_is_rejected(self, monkeypatch, fault, mu):
+        # the walk checks each lower part once, before any word built on it
+        force_row = hall_littlewood._force_row
+        monkeypatch.setattr(
+            hall_littlewood, "_force_row", lambda below, entries: fault(force_row(below, entries))
+        )
+        with pytest.raises(ValueError, match="not a bijective filling"):
+            next(inv_zero_fillings(mu))
 
 
 class TestExpansions:

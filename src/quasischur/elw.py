@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from .combinatorics import Composition, WeakComposition, pad, set_of_composition
-from .polynomial import QT_ZERO, SparsePoly, antisymmetrize, staircase
+from .polynomial import QT_ZERO, class_map, staircase
 from .quasisym import Expansion, fundamental_words
 from .schur import straighten
 
@@ -47,17 +49,11 @@ class ConstrainedMonomial:
 
     @property
     def gamma(self) -> WeakComposition:
-        n = len(self.word)
-        counts = [0] * n
-        for a in self.word:
-            counts[a - 1] += 1
-        return WeakComposition(counts)
+        return WeakComposition(_exponents(self.word))
 
     @property
     def full_exponent(self) -> tuple[int, ...]:
-        n = len(self.word)
-        delta = staircase(n)
-        return tuple(g + d for g, d in zip(self.gamma, delta))
+        return tuple(map(add, _exponents(self.word), staircase(len(self.word))))
 
 
 class FixedPoint:
@@ -88,6 +84,14 @@ def constrained_monomials(alpha) -> Iterator[ConstrainedMonomial]:
         yield ConstrainedMonomial(alpha, word)
 
 
+def _exponents(word) -> tuple[int, ...]:
+    """The exponent vector of a word in the letters 1..len(word)."""
+    counts = [0] * len(word)
+    for a in word:
+        counts[a - 1] += 1
+    return tuple(counts)
+
+
 def _word_from_gamma(gamma) -> tuple[int, ...]:
     out: list[int] = []
     for letter, count in enumerate(gamma, start=1):
@@ -95,33 +99,24 @@ def _word_from_gamma(gamma) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _word_is_constrained(word, alpha: Composition) -> bool:
-    n = alpha.weight
-    strict_after = set_of_composition(alpha)
-    if any(not 1 <= a <= n for a in word):
-        return False
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            return False
-        if (i + 1) in strict_after and word[i] >= word[i + 1]:
-            return False
-    return True
+def _exchange(alpha, strict, gamma) -> tuple[int, int, tuple[int, ...]] | None:
+    """The involution on the exponent vector gamma of a constrained word:
+    None on the fixed point, otherwise (s, r, image).
 
-
-def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
-    """Find s(u), r(u) and the exponent pair the involution exchanges.
-
-    s is the longest prefix on which the exponents match alpha exactly; the
-    next letter block then spans positions s+1..s+r with exponent sum
-    alpha_{s+1} and a positive final exponent.
+    s is the longest prefix on which gamma matches alpha exactly; the next
+    letter block then spans positions s+1..s+r with exponent sum alpha_{s+1}
+    and a positive final exponent, and the image replaces the pair at
+    positions s+r-1, s+r by (b_{s+r} - 1, b_{s+r-1} + 1).  strict is
+    Set(alpha); the image is checked to stay in the constrained family.
     """
-    alpha = u.alpha
-    gamma = u.gamma
+    k = len(alpha)
     s = 0
-    while s < len(alpha) and gamma[s] == alpha[s]:
+    while s < k and gamma[s] == alpha[s]:
         s += 1
-    if s == len(alpha):
-        raise ValueError("monomial is the fixed point; no block to move")
+    if s == k:
+        if any(gamma[k:]):
+            raise ValueError("monomial is the fixed point; no block to move")
+        return None
     target = alpha[s]
     acc = 0
     r = 0
@@ -134,9 +129,33 @@ def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
             raise AssertionError("block sum overshot alpha; word not constrained")
     if r < 2:
         raise AssertionError(f"expected a split block, got r={r}")
-    before = (gamma[s + r - 2], gamma[s + r - 1])
-    after = (before[1] - 1, before[0] + 1)
-    return InvolutionStep(s=s, r=r, before=before, after=after)
+    i = s + r - 2
+    image = list(gamma)
+    image[i], image[i + 1] = gamma[i + 1] - 1, gamma[i] + 1
+    # the word of an exponent vector is weakly increasing, and it rises
+    # strictly after position p exactly when p is a partial sum of the vector;
+    # its letters stay within 1..n when no exponent past the n-th is positive
+    if any(image[sum(alpha):]) or not strict.issubset(accumulate(image)):
+        raise ValueError("involution image left the constrained family")
+    return s, r, tuple(image)
+
+
+def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
+    """Find s(u), r(u) and the exponent pair the involution exchanges.
+
+    s is the longest prefix on which the exponents match alpha exactly; the
+    next letter block then spans positions s+1..s+r with exponent sum
+    alpha_{s+1} and a positive final exponent.
+    """
+    gamma = _exponents(u.word)
+    step = _exchange(u.alpha, set_of_composition(u.alpha), gamma)
+    if step is None:
+        raise ValueError("monomial is the fixed point; no block to move")
+    s, r, image = step
+    i = s + r - 2
+    return InvolutionStep(
+        s=s, r=r, before=(gamma[i], gamma[i + 1]), after=(image[i], image[i + 1])
+    )
 
 
 def involution(u: ConstrainedMonomial) -> ConstrainedMonomial | FixedPoint:
@@ -147,18 +166,10 @@ def involution(u: ConstrainedMonomial) -> ConstrainedMonomial | FixedPoint:
     (b_{s+r} - 1, b_{s+r-1} + 1), the exchange that flips the sign of the
     straightened Schur value.
     """
-    alpha = u.alpha
-    gamma = u.gamma
-    if gamma == pad(alpha, len(gamma)):
+    step = _exchange(u.alpha, set_of_composition(u.alpha), _exponents(u.word))
+    if step is None:
         return FIXED_POINT
-    step = locate_block(u)
-    new_gamma = list(gamma)
-    new_gamma[step.s + step.r - 2] = step.after[0]
-    new_gamma[step.s + step.r - 1] = step.after[1]
-    word = _word_from_gamma(new_gamma)
-    if not _word_is_constrained(word, alpha):
-        raise ValueError("involution image left the constrained family")
-    return ConstrainedMonomial(alpha, word)
+    return ConstrainedMonomial(u.alpha, _word_from_gamma(step[2]))
 
 
 @dataclass
@@ -204,40 +215,54 @@ class VerificationReport:
 
 def verify_involution(alpha) -> VerificationReport:
     """Run all four checks: unique fixed point, sign-reversing pairing,
-    telescoping of the signed Schur sum, and the alternant cross-check."""
+    telescoping of the signed Schur sum, and the alternant cross-check.
+
+    Each word is read once into its exponent vector gamma, a plain tuple,
+    which keys every check after that: a weakly increasing word and its
+    exponent vector determine each other.  Words are still what the report
+    lists.  The alternant clause compares class maps (`class_map`): the
+    alternant of the sum of x^(gamma + delta) against that of
+    x^(alpha + delta).  The class map sorts with a sign through
+    `polynomial._sort_sign`, as `schur.straighten` does through
+    `permutation_sign` for the telescoping clause; the independent n!
+    expansion of both alternants (`antisymmetrize`) is kept in the tests.
+    """
     alpha = Composition(alpha)
     n = alpha.weight
+    strict = set_of_composition(alpha)
     report = VerificationReport(alpha=alpha)
-    monomials = list(constrained_monomials(alpha))
-    report.monomial_count = len(monomials)
-    alpha_padded = pad(alpha, n)
+    words = [u.word for u in constrained_monomials(alpha)]
+    report.monomial_count = len(words)
+    gammas = [_exponents(word) for word in words]
+    alpha_padded = tuple(pad(alpha, n))
 
-    normals = {u.word: straighten(u.gamma) for u in monomials}
+    normals = {gamma: straighten(gamma) for gamma in gammas}
     seen_pairs: set[frozenset] = set()
     signed_total: dict[tuple[int, ...], int] = {}
     sign_ok = True
     witness = None
-    for u in monomials:
-        a = normals[u.word]
+    for word, gamma in zip(words, gammas):
+        a = normals[gamma]
         if not a.is_zero():
             key = tuple(a.shape)
             signed_total[key] = signed_total.get(key, 0) + a.sign
             if not signed_total[key]:
                 del signed_total[key]
-        image = involution(u)
-        if isinstance(image, FixedPoint):
-            report.fixed_points.append(u.word)
+        step = _exchange(alpha, strict, gamma)
+        if step is None:
+            report.fixed_points.append(word)
             continue
-        back = involution(image) if image.word in normals else None
-        if not isinstance(back, ConstrainedMonomial) or back.word != u.word:
+        image = step[2]
+        back = _exchange(alpha, strict, image) if image in normals else None
+        if back is None or back[2] != gamma:
             sign_ok = False
-            witness = witness or u.word
+            witness = witness or word
             continue
-        pair = frozenset({u.word, image.word})
+        pair = frozenset({gamma, image})
         if pair in seen_pairs:
             continue
         seen_pairs.add(pair)
-        b = normals[image.word]
+        b = normals[image]
         cancels = (a.is_zero() and b.is_zero()) or (
             not a.is_zero()
             and not b.is_zero()
@@ -246,7 +271,7 @@ def verify_involution(alpha) -> VerificationReport:
         )
         if not cancels:
             sign_ok = False
-            witness = witness or u.word
+            witness = witness or word
 
     report.pair_count = sum(1 for pair in seen_pairs if len(pair) == 2)
     # a monomial can be exchanged onto itself; its straightened value is then
@@ -254,7 +279,7 @@ def verify_involution(alpha) -> VerificationReport:
     report.self_cancelling = sum(1 for pair in seen_pairs if len(pair) == 1)
     report.unique_fixed_point = (
         len(report.fixed_points) == 1
-        and ConstrainedMonomial(alpha, report.fixed_points[0]).gamma == alpha_padded
+        and _exponents(report.fixed_points[0]) == alpha_padded
     )
     report.sign_reversing = sign_ok
 
@@ -264,17 +289,13 @@ def verify_involution(alpha) -> VerificationReport:
     else:
         report.telescopes = signed_total == {tuple(target.shape): target.sign}
 
-    # independent polynomial route, bypassing the straightening closed form:
-    # the antisymmetrized monomial sum must be s_alpha * a_delta, which is the
+    # polynomial route, bypassing the straightening closed form: the
+    # alternant of the monomial sum must be s_alpha * a_delta, which is the
     # alternant of x^(alpha + delta); a_delta is a nonzerodivisor, so comparing
     # the two alternants needs no division
-    summed: dict[tuple[int, ...], int] = {}
-    for u in monomials:
-        exps = u.full_exponent
-        summed[exps] = summed.get(exps, 0) + 1
-    lhs = antisymmetrize(SparsePoly(n, summed))
-    fixed = tuple(a + d for a, d in zip(alpha_padded, staircase(n)))
-    rhs = antisymmetrize(SparsePoly.monomial(n, fixed))
+    delta = staircase(n)
+    lhs = class_map((tuple(map(add, gamma, delta)), 1) for gamma in gammas)
+    rhs = class_map([(tuple(map(add, alpha_padded, delta)), 1)])
     report.polynomial_check = lhs == rhs
 
     if not report.passed() and witness:

@@ -404,9 +404,39 @@ class SparsePoly:
 
 
 def _sort_sign(exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Sort an exponent vector into decreasing order, tracking the sign."""
+    """Sort an exponent vector into decreasing order, tracking the sign.
+
+    This is the sort behind both `class_map` and the grouping step of
+    `antisymmetrize`; `schur.straighten` sorts its shifted vector with a sign
+    of its own, through `permutation_sign`.
+    """
     order = sorted(range(len(exps)), key=lambda i: -exps[i])
     return tuple(exps[i] for i in order), permutation_sign(order)
+
+
+def class_map(terms) -> dict[tuple[int, ...], object]:
+    """The alternant of the sum of c * x^e over the pairs (e, c) of terms, as a
+    map from strictly decreasing exponent vector to nonzero signed coefficient.
+
+    The alternant of x^e is zero when e has a repeated entry, and otherwise
+    sgn(w) times the alternant of x^sort(e), where w sorts e.  Distinct
+    strictly decreasing vectors have disjoint orbits, so two alternants are
+    equal exactly when their class maps are equal, without the n! expansion
+    that `antisymmetrize` writes out.  Coefficients may be ints or `QT`s.
+    """
+    classes: dict[tuple[int, ...], object] = {}
+    for exps, coeff in terms:
+        if len(set(exps)) != len(exps):
+            continue
+        key, sign = _sort_sign(exps)
+        total = coeff * sign
+        if key in classes:
+            total = classes[key] + total
+        if total:
+            classes[key] = total
+        else:
+            classes.pop(key, None)
+    return classes
 
 
 @lru_cache(maxsize=16)

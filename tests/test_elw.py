@@ -1,7 +1,16 @@
+from collections import Counter
+from operator import add
+
 import pytest
 
 import quasischur.elw as elw
-from quasischur.combinatorics import Composition, compositions_of, pad, partitions_of
+from quasischur.combinatorics import (
+    Composition,
+    compositions_of,
+    pad,
+    partitions_of,
+    set_of_composition,
+)
 from quasischur.elw import (
     ConstrainedMonomial,
     FixedPoint,
@@ -11,10 +20,57 @@ from quasischur.elw import (
     locate_block,
     verify_involution,
 )
+from quasischur.polynomial import SparsePoly, antisymmetrize, staircase
 from quasischur.quasisym import Expansion, expansion_to_poly, extract_f_expansion
 from quasischur.schur import schur_ssyt, straighten
 
 from test_quasisym import reference_words
+
+
+def reference_involution(alpha, word):
+    """The involution read off the word itself: None on the fixed point,
+    otherwise the image word, checked letter by letter to be constrained."""
+    n = sum(alpha)
+    gamma = [word.count(letter) for letter in range(1, n + 1)]
+    if gamma == list(pad(alpha, n)):
+        return None
+    s = 0
+    while gamma[s] == alpha[s]:
+        s += 1
+    acc = 0
+    for end in range(s, n):
+        acc += gamma[end]
+        if acc == alpha[s] and gamma[end] > 0:
+            break
+    gamma[end - 1], gamma[end] = gamma[end] - 1, gamma[end - 1] + 1
+    image = tuple(letter for letter in range(1, n + 1) for _ in range(gamma[letter - 1]))
+    strict = set_of_composition(alpha)
+    for i in range(n - 1):
+        assert image[i] <= image[i + 1]
+        assert (i + 1) not in strict or image[i] < image[i + 1]
+    return image
+
+
+def alternants_agree(alpha, words):
+    """The involution's polynomial clause through the n! expansion: the
+    antisymmetrized sum of x^(gamma + delta) over the words against the
+    antisymmetrized x^(alpha + delta)."""
+    n = sum(alpha)
+    delta = staircase(n)
+    summed = Counter(ConstrainedMonomial(alpha, w).full_exponent for w in words)
+    lhs = antisymmetrize(SparsePoly(n, summed))
+    rhs = antisymmetrize(SparsePoly.monomial(n, tuple(map(add, pad(alpha, n), delta))))
+    return lhs == rhs
+
+
+def without_words(monkeypatch, dropped):
+    """Make verify_involution enumerate every word except those in dropped."""
+    full = elw.constrained_monomials
+    monkeypatch.setattr(
+        elw,
+        "constrained_monomials",
+        lambda alpha: (u for u in full(alpha) if u.word not in dropped),
+    )
 
 
 class TestElwToSchur:
@@ -101,6 +157,45 @@ class TestInvolution:
                 assert back.word == u.word
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_kernel_matches_wrappers_and_reference(self, n):
+        for alpha in compositions_of(n):
+            strict = set_of_composition(alpha)
+            for u in constrained_monomials(alpha):
+                step = elw._exchange(alpha, strict, elw._exponents(u.word))
+                expected = reference_involution(alpha, u.word)
+                image = involution(u)
+                if step is None:
+                    assert expected is None
+                    assert isinstance(image, FixedPoint)
+                    continue
+                s, r, gamma = step
+                assert elw._word_from_gamma(gamma) == expected == image.word
+                block = locate_block(u)
+                assert (block.s, block.r) == (s, r)
+                assert block.after == gamma[s + r - 2 : s + r]
+
+    @pytest.mark.parametrize(
+        "alpha, word, error, message",
+        [
+            ((1, 1), (1, 1), AssertionError, "block sum overshot"),
+            ((3,), (1, 2), AssertionError, "expected a split block, got r=0"),
+            ((1, 1, 1), (2, 3, 3), ValueError, "left the constrained family"),
+            ((2,), (1, 2, 3), ValueError, "left the constrained family"),
+        ],
+    )
+    def test_kernel_checks_raise(self, alpha, word, error, message):
+        # words outside the family: each check of the kernel still fires
+        u = ConstrainedMonomial(Composition(alpha), word)
+        with pytest.raises(error, match=message):
+            involution(u)
+        with pytest.raises(error, match=message):
+            elw._exchange(alpha, set_of_composition(alpha), elw._exponents(word))
+
+    def test_locate_block_refuses_the_fixed_point(self):
+        with pytest.raises(ValueError, match="fixed point"):
+            locate_block(ConstrainedMonomial(Composition((2, 1)), (1, 1, 2)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_pairs_cancel(self, n):
         for alpha in compositions_of(n):
             for u in constrained_monomials(alpha):
@@ -123,6 +218,82 @@ class TestVerify:
         report = verify_involution((2, 1))
         assert report.passed()
         assert report.fixed_points == [(1, 1, 2)]
+
+    def test_all_compositions_of_8(self):
+        for alpha in compositions_of(8):
+            assert verify_involution(alpha).passed(), alpha
+
+    @pytest.mark.slow
+    def test_all_compositions_of_9(self):
+        for alpha in compositions_of(9):
+            assert verify_involution(alpha).passed(), alpha
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_polynomial_clause_matches_antisymmetrize(self, n):
+        for alpha in compositions_of(n):
+            words = [u.word for u in constrained_monomials(alpha)]
+            report = verify_involution(alpha)
+            assert report.polynomial_check == alternants_agree(alpha, words), alpha
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_polynomial_clause_matches_antisymmetrize_with_a_word_dropped(
+        self, n, monkeypatch
+    ):
+        verdicts = set()
+        for alpha in compositions_of(n):
+            words = [u.word for u in constrained_monomials(alpha)]
+            for dropped in words:
+                with monkeypatch.context() as m:
+                    without_words(m, {dropped})
+                    report = verify_involution(alpha)
+                kept = [w for w in words if w != dropped]
+                verdict = alternants_agree(alpha, kept)
+                assert report.polynomial_check == verdict, (alpha, dropped)
+                verdicts.add(verdict)
+        assert False in verdicts
+
+    def test_polynomial_clause_with_an_empty_right_side(self, monkeypatch):
+        # alpha + delta = (3, 3, 0) for (1, 2), so the alternant of
+        # x^(alpha + delta) is zero and its class map is empty
+        assert verify_involution((1, 2)).polynomial_check
+        with monkeypatch.context() as m:
+            # the fixed point has the same repeated exponents: dropping it
+            # leaves the alternant unchanged, and only the fixed-point clause
+            # sees it
+            without_words(m, {(1, 2, 2)})
+            report = verify_involution((1, 2))
+        assert report.polynomial_check
+        assert not report.unique_fixed_point
+        with monkeypatch.context() as m:
+            # x^(3,2,1) and x^(3,1,2) cancel in the alternant; without the
+            # first, the left side's class map is {(3, 2, 1): -1}
+            without_words(m, {(1, 2, 3)})
+            report = verify_involution((1, 2))
+        assert report.polynomial_check is False
+        assert not report.passed()
+
+    def test_sign_clause_detects_a_map_that_is_not_an_involution(self, monkeypatch):
+        # the first moved word and the word it is sent to both straighten to
+        # zero, so the pair cancels and only the round trip back can fail
+        alpha = Composition((3, 1))
+        strict = set_of_composition(alpha)
+        gammas = [elw._exponents(u.word) for u in constrained_monomials(alpha)]
+        moved = [g for g in gammas if elw._exchange(alpha, strict, g) is not None]
+        first, partner = moved[0], elw._exchange(alpha, strict, moved[0])[2]
+        elsewhere = next(
+            g for g in moved if g not in (first, partner) and straighten(g).is_zero()
+        )
+        assert straighten(first).is_zero()
+        real = elw._exchange
+
+        def send_first_elsewhere(alpha, strict, gamma):
+            step = real(alpha, strict, gamma)
+            return step[:2] + (elsewhere,) if gamma == first else step
+
+        monkeypatch.setattr(elw, "_exchange", send_first_elsewhere)
+        report = verify_involution(alpha)
+        assert report.sign_reversing is False
+        assert report.witness == elw._word_from_gamma(first)
 
     def test_paper_case_2_3_3(self):
         report = verify_involution((2, 3, 3))

@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasischur.combinatorics import permutation_sign
 from quasischur.polynomial import (
     QT,
     QT_ONE,
@@ -9,6 +12,7 @@ from quasischur.polynomial import (
     ExactDivisionError,
     SparsePoly,
     antisymmetrize,
+    class_map,
     exact_divide,
     staircase,
     vandermonde,
@@ -109,6 +113,29 @@ class TestAntisymmetrize:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 assert a.swap_variables(i, j) == -a
+
+
+class TestClassMap:
+    def test_repeated_exponents_vanish(self):
+        assert class_map([((1, 1), 1)]) == {}
+
+    def test_sorting_sign(self):
+        assert class_map([((1, 2, 0), 1), ((0, 2, 1), 3)]) == {(2, 1, 0): 2}
+
+    def test_cancelling_classes_are_dropped(self):
+        assert class_map([((2, 0), 1), ((0, 2), 1)]) == {}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_expands_to_antisymmetrize(self, n, data):
+        # writing out each class over all n! orderings gives the alternant
+        p = data.draw(polys(n))
+        expanded = {}
+        for exps, coeff in class_map(p.terms()).items():
+            for perm in permutations(range(n)):
+                expanded[tuple(exps[i] for i in perm)] = coeff * permutation_sign(perm)
+        assert SparsePoly(n, expanded) == antisymmetrize(p)
 
 
 class TestVandermonde:

@@ -1,7 +1,9 @@
+from operator import add
+
 import pytest
 
 from quasischur.combinatorics import Partition, compositions_of, pad, partitions_of
-from quasischur.polynomial import SparsePoly
+from quasischur.polynomial import SparsePoly, class_map, staircase
 from quasischur.schur import (
     SignedSchur,
     schur_bialternant,
@@ -9,6 +11,16 @@ from quasischur.schur import (
     straighten,
     straighten_once,
 )
+
+
+def is_schur_by_class_map(f, lam, n):
+    """Whether f = s_lam in n variables, without division: for a symmetric f,
+    the alternant of f * x^delta is f * a_delta, and a_delta is a
+    nonzerodivisor, so f = s_lam exactly when that alternant is the one of
+    x^(lam + delta)."""
+    delta = staircase(n)
+    lifted = class_map((tuple(map(add, exps, delta)), c) for exps, c in f.terms())
+    return f.is_symmetric() and lifted == {tuple(map(add, pad(lam, n), delta)): 1}
 
 
 def weak_compositions(total, length):
@@ -135,4 +147,26 @@ class TestOracleAgreement:
             for lam in partitions_of(m):
                 if len(lam) > n:
                     continue
-                assert schur_bialternant(pad(lam, n), n) == schur_ssyt(lam, n)
+                if n <= 5:
+                    assert schur_bialternant(pad(lam, n), n) == schur_ssyt(lam, n)
+                else:
+                    # dividing by the 720-term Vandermonde would cost seconds
+                    assert is_schur_by_class_map(schur_ssyt(lam, n), lam, n), lam
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_class_map_check_needs_every_monomial_and_symmetry(self, n):
+        for m in range(1, 5):
+            for lam in partitions_of(m):
+                if len(lam) > n:
+                    continue
+                f = schur_ssyt(lam, n)
+                assert is_schur_by_class_map(f, lam, n)
+                terms = dict(f.terms())
+                for exps in terms:
+                    dropped = SparsePoly(n, {e: c for e, c in terms.items() if e != exps})
+                    assert not is_schur_by_class_map(dropped, lam, n), (lam, exps)
+                # x^lam alone has the alternant of x^(lam + delta); unless it
+                # is s_lam, it is not symmetric
+                monomial = SparsePoly.monomial(n, pad(lam, n))
+                if monomial != f:
+                    assert not is_schur_by_class_map(monomial, lam, n), lam

@@ -8,10 +8,8 @@ from .combinatorics import (
     WeakComposition,
     composition_of_set,
     compositions_of,
-    decompositions,
     pad,
     partitions_of,
-    rsk_insert,
     rsk_shape,
     set_of_composition,
 )
@@ -30,11 +28,8 @@ from .hall_littlewood import (
     ExperimentReport,
     Filling,
     SizeBoundError,
-    all_fillings,
-    haglund_expansion,
     hl_fundamental_expansion,
     hll_expansion,
-    inv_stat,
     inv_zero_fillings,
     is_schur_positive,
     leftover_experiment,
@@ -42,23 +37,14 @@ from .hall_littlewood import (
     pides,
     symmetry_check,
 )
-from .polynomial import (
-    QT,
-    ExactDivisionError,
-    SparsePoly,
-    antisymmetrize,
-    exact_divide,
-    vandermonde,
-)
+from .polynomial import QT, SparsePoly
 from .quasisym import (
     Expansion,
-    expansion_to_poly,
     extract_f_expansion,
     fundamental,
     is_symmetric_expansion,
-    monomial_quasisym,
 )
-from .schur import SignedSchur, schur_bialternant, schur_ssyt, straighten
+from .schur import SignedSchur, schur_ssyt, straighten
 
 __version__ = "0.1.0"
 
@@ -68,10 +54,8 @@ __all__ = [
     "WeakComposition",
     "composition_of_set",
     "compositions_of",
-    "decompositions",
     "pad",
     "partitions_of",
-    "rsk_insert",
     "rsk_shape",
     "set_of_composition",
     "FIXED_POINT",
@@ -86,11 +70,8 @@ __all__ = [
     "ExperimentReport",
     "Filling",
     "SizeBoundError",
-    "all_fillings",
-    "haglund_expansion",
     "hl_fundamental_expansion",
     "hll_expansion",
-    "inv_stat",
     "inv_zero_fillings",
     "is_schur_positive",
     "leftover_experiment",
@@ -98,19 +79,12 @@ __all__ = [
     "pides",
     "symmetry_check",
     "QT",
-    "ExactDivisionError",
     "SparsePoly",
-    "antisymmetrize",
-    "exact_divide",
-    "vandermonde",
     "Expansion",
-    "expansion_to_poly",
     "extract_f_expansion",
     "fundamental",
     "is_symmetric_expansion",
-    "monomial_quasisym",
     "SignedSchur",
-    "schur_bialternant",
     "schur_ssyt",
     "straighten",
 ]

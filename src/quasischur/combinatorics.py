@@ -1,10 +1,8 @@
-"""Compositions, partitions, set decompositions and Schensted insertion."""
+"""Compositions, partitions, descent sets and Schensted insertion."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import permutations
-from math import factorial
 from typing import Iterator
 
 
@@ -112,38 +110,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition((first,) + tuple(rest))
 
 
-def decompositions(mu: Partition) -> Iterator[tuple[frozenset[int], ...]]:
-    """Ordered decompositions T_1..T_k of {1..n} with |T_i| = mu_i.
-
-    Enumerated in lexicographic order of the block-membership word
-    (block index of 1, block index of 2, ...).
-    """
-    mu = Partition(mu)
-    n = mu.weight
-    k = len(mu)
-    blocks: list[list[int]] = [[] for _ in range(k)]
-
-    def fill(value: int) -> Iterator[tuple[frozenset[int], ...]]:
-        if value > n:
-            yield tuple(frozenset(b) for b in blocks)
-            return
-        for i in range(k):
-            if len(blocks[i]) < mu[i]:
-                blocks[i].append(value)
-                yield from fill(value + 1)
-                blocks[i].pop()
-
-    yield from fill(1)
-
-
-def decomposition_count(mu: Partition) -> int:
-    mu = Partition(mu)
-    count = factorial(mu.weight)
-    for part in mu:
-        count //= factorial(part)
-    return count
-
-
 def inverse_permutation(sigma) -> tuple[int, ...]:
     """Inverse of a one-line permutation word over {1..n}."""
     inv = [0] * len(sigma)
@@ -157,43 +123,12 @@ def descent_set(word) -> frozenset[int]:
     return frozenset(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 
 
-def rsk_insert(sigma) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Robinson-Schensted row insertion of a permutation word.
-
-    Returns the pair (P, Q) of standard tableaux as tuples of rows.
-    """
-    sigma = tuple(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for step, value in enumerate(sigma, start=1):
-        row = 0
-        while True:
-            if row == len(p_rows):
-                p_rows.append([value])
-                q_rows.append([step])
-                break
-            current = p_rows[row]
-            # rows increase, so the leftmost entry larger than value is here
-            bump = bisect_right(current, value)
-            if bump == len(current):
-                current.append(value)
-                q_rows[row].append(step)
-                break
-            current[bump], value = value, current[bump]
-            row += 1
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return freeze(p_rows), freeze(q_rows)
-
-
 def rsk_shape(sigma) -> Partition:
     """Shape of the Schensted tableaux of a permutation word.
 
     Row insertion builds only the insertion tableau P, as lists, since the
-    shape needs neither the recording tableau Q nor frozen rows; rsk_insert
-    is the full insertion with the same permutation check.
+    shape needs neither the recording tableau Q nor frozen rows; the tests
+    compare it with the full insertion of both tableaux.
     """
     sigma = tuple(sigma)
     n = len(sigma)
@@ -231,7 +166,3 @@ def permutation_sign(perm) -> int:
             seen[j] = True
             j = perm[j] - base
     return -1 if (len(perm) - cycles) % 2 else 1
-
-
-def all_permutation_words(n: int) -> Iterator[tuple[int, ...]]:
-    yield from permutations(range(1, n + 1))

@@ -140,15 +140,43 @@ def _exchange(alpha, strict, gamma) -> tuple[int, int, tuple[int, ...]] | None:
     return s, r, tuple(image)
 
 
+def _checked_exponents(u: ConstrainedMonomial) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Set(alpha) and the exponent vector of u's word, after checking that
+    the word is in the constrained family: n = |alpha| letters in 1..n,
+    weakly increasing, with a strict rise at each point of Set(alpha).
+
+    ConstrainedMonomial does not check its word, since constrained_monomials
+    builds one per word of the family; a word built by hand is checked here,
+    before the kernel, which assumes the family."""
+    alpha, word = u.alpha, u.word
+    n = sum(alpha)
+    strict = set_of_composition(alpha)
+    if (
+        len(word) != n
+        or not all(type(a) is int and 1 <= a <= n for a in word)
+        or any(
+            word[i] > word[i + 1] or (word[i] == word[i + 1] and i + 1 in strict)
+            for i in range(n - 1)
+        )
+    ):
+        raise ValueError(
+            f"word {word} is not a constrained monomial of {tuple(alpha)}: it needs "
+            f"{n} weakly increasing letters in 1..{n}, rising strictly at "
+            f"{sorted(strict)}"
+        )
+    return strict, _exponents(word)
+
+
 def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
     """Find s(u), r(u) and the exponent pair the involution exchanges.
 
     s is the longest prefix on which the exponents match alpha exactly; the
     next letter block then spans positions s+1..s+r with exponent sum
-    alpha_{s+1} and a positive final exponent.
+    alpha_{s+1} and a positive final exponent.  Raises ValueError on the
+    fixed point and on a word outside the constrained family.
     """
-    gamma = _exponents(u.word)
-    step = _exchange(u.alpha, set_of_composition(u.alpha), gamma)
+    strict, gamma = _checked_exponents(u)
+    step = _exchange(u.alpha, strict, gamma)
     if step is None:
         raise ValueError("monomial is the fixed point; no block to move")
     s, r, image = step
@@ -164,9 +192,10 @@ def involution(u: ConstrainedMonomial) -> ConstrainedMonomial | FixedPoint:
     The fixed point is the word whose exponent vector is alpha padded; every
     other word has the exponent pair at positions s+r-1, s+r replaced by
     (b_{s+r} - 1, b_{s+r-1} + 1), the exchange that flips the sign of the
-    straightened Schur value.
+    straightened Schur value.  Raises ValueError on a word outside the
+    constrained family.
     """
-    step = _exchange(u.alpha, set_of_composition(u.alpha), _exponents(u.word))
+    step = _exchange(u.alpha, *_checked_exponents(u))
     if step is None:
         return FIXED_POINT
     return ConstrainedMonomial(u.alpha, _word_from_gamma(step[2]))

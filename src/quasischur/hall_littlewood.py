@@ -17,7 +17,7 @@ from .combinatorics import (
     rsk_shape,
 )
 from .elw import elw_to_schur
-from .polynomial import QT, QT_ZERO
+from .polynomial import QT
 from .quasisym import Expansion, is_symmetric_expansion
 from .schur import straighten
 
@@ -88,24 +88,6 @@ def maj_stat(f: Filling) -> int:
     return sum(_word_maj(f.column(j)) for j in range(1, width + 1))
 
 
-def _counterclockwise(a: int, b: int, c: float) -> bool:
-    return (a > b > c) or (b > c > a) or (c > a > b)
-
-
-def inv_stat(f: Filling) -> int:
-    """Count of inversion triples: cells u left of v in a row, with the cell
-    directly below u (or a virtual +infinity below the bottom row)."""
-    total = 0
-    for i, row in enumerate(f.rows):
-        below = f.rows[i - 1] if i > 0 else None
-        for a_pos in range(len(row)):
-            c = below[a_pos] if below is not None else float("inf")
-            for b_pos in range(a_pos + 1, len(row)):
-                if _counterclockwise(row[a_pos], row[b_pos], c):
-                    total += 1
-    return total
-
-
 def pides(sigma) -> Composition:
     """Descent composition of the inverse permutation."""
     sigma = tuple(sigma)
@@ -170,29 +152,6 @@ def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[int, ...
             yield from place(level + 1, tuple(v for v in free if v not in block))
 
     yield from place(0, tuple(values))
-
-
-def all_fillings(mu) -> Iterator[Filling]:
-    """All n! bijective fillings of mu."""
-    mu = Partition(mu)
-    for word in permutations(range(1, mu.weight + 1)):
-        yield Filling.from_reading_word(mu, word)
-
-
-def haglund_expansion(mu) -> Expansion:
-    """F-expansion of the modified Macdonald polynomial via filling statistics:
-    sum over all fillings of q^inv t^maj F_pides."""
-    mu = Partition(mu)
-    terms: dict[tuple[int, ...], QT] = {}
-    for f in all_fillings(mu):
-        coeff = QT.term(1, qexp=inv_stat(f), texp=maj_stat(f))
-        index = tuple(pides(f.reading_word))
-        new = terms.get(index, QT_ZERO) + coeff
-        if new:
-            terms[index] = new
-        else:
-            terms.pop(index, None)
-    return Expansion("F", mu.weight, terms)
 
 
 def _t_polynomial(census: dict[int, int]) -> QT:

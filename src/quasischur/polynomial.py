@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
-from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Mapping
 
 from .combinatorics import permutation_sign
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when a quotient does not exist in the polynomial ring."""
 
 
 def _json_int(value) -> int:
@@ -320,37 +313,9 @@ class SparsePoly:
         result._terms = terms
         return result
 
-    def swap_variables(self, i: int, j: int) -> "SparsePoly":
-        """Exchange x_i and x_j (1-based)."""
-        out: dict[tuple[int, ...], QT] = {}
-        for exps, coeff in self._terms.items():
-            new = list(exps)
-            new[i - 1], new[j - 1] = new[j - 1], new[i - 1]
-            out[tuple(new)] = coeff
-        return self._wrap(out)
-
-    def is_symmetric(self) -> bool:
-        """Invariance under adjacent transpositions, which generate S_n."""
-        for i in range(1, self.nvars):
-            if self.swap_variables(i, i + 1) != self:
-                return False
-        return True
-
     def degree(self) -> int:
         """Total degree in the x variables; zero polynomial has degree 0."""
         return max(map(sum, self._terms), default=0)
-
-    def set_variable_to_zero(self, index: int) -> "SparsePoly":
-        """Substitute x_index = 0 and drop the slot (1-based index)."""
-        out: dict[tuple[int, ...], QT] = {}
-        for exps, coeff in self._terms.items():
-            if exps[index - 1]:
-                continue
-            out[exps[: index - 1] + exps[index:]] = coeff
-        result = SparsePoly.__new__(SparsePoly)
-        result.nvars = self.nvars - 1
-        result._terms = out
-        return result
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], QT]]:
         """Terms in ascending graded-lexicographic order of exponents."""
@@ -406,9 +371,9 @@ class SparsePoly:
 def _sort_sign(exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Sort an exponent vector into decreasing order, tracking the sign.
 
-    This is the sort behind both `class_map` and the grouping step of
-    `antisymmetrize`; `schur.straighten` sorts its shifted vector with a sign
-    of its own, through `permutation_sign`.
+    This is the sort behind both `class_map` and the grouping step of the
+    tests' n!-expanding antisymmetrizer; `schur.straighten` sorts its shifted
+    vector with a sign of its own, through `permutation_sign`.
     """
     order = sorted(range(len(exps)), key=lambda i: -exps[i])
     return tuple(exps[i] for i in order), permutation_sign(order)
@@ -421,8 +386,8 @@ def class_map(terms) -> dict[tuple[int, ...], object]:
     The alternant of x^e is zero when e has a repeated entry, and otherwise
     sgn(w) times the alternant of x^sort(e), where w sorts e.  Distinct
     strictly decreasing vectors have disjoint orbits, so two alternants are
-    equal exactly when their class maps are equal, without the n! expansion
-    that `antisymmetrize` writes out.  Coefficients may be ints or `QT`s.
+    equal exactly when their class maps are equal, without writing out the
+    n! permuted terms of each class.  Coefficients may be ints or `QT`s.
     """
     classes: dict[tuple[int, ...], object] = {}
     for exps, coeff in terms:
@@ -439,102 +404,6 @@ def class_map(terms) -> dict[tuple[int, ...], object]:
     return classes
 
 
-@lru_cache(maxsize=16)
-def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple(
-        (perm, permutation_sign(perm)) for perm in permutations(range(n))
-    )
-
-
-def antisymmetrize(p: SparsePoly) -> SparsePoly:
-    """Signed sum over all variable permutations sigma of sgn(sigma)*sigma(p).
-
-    Monomials with a repeated exponent vanish and are skipped; the rest are
-    grouped by sorted exponent vector before the n! expansion.
-    """
-    n = p.nvars
-    classes: dict[tuple[int, ...], QT] = {}
-    for exps, coeff in p.terms():
-        if len(set(exps)) != n:
-            continue
-        key, sign = _sort_sign(exps)
-        new = classes.get(key, QT_ZERO) + coeff * sign
-        if new:
-            classes[key] = new
-        else:
-            classes.pop(key, None)
-    out: dict[tuple[int, ...], QT] = {}
-    for exps, coeff in classes.items():
-        for perm, sign in _signed_permutations(n):
-            out[tuple(exps[i] for i in perm)] = coeff * sign
-    return SparsePoly(n, out)
-
-
 def staircase(n: int) -> tuple[int, ...]:
     """The exponent vector (n-1, n-2, ..., 0)."""
     return tuple(range(n - 1, -1, -1))
-
-
-@lru_cache(maxsize=16)
-def vandermonde(n: int) -> SparsePoly:
-    """Product of (x_i - x_j) over i < j."""
-    result = SparsePoly.one(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            result = result * (
-                SparsePoly.variable(n, i) - SparsePoly.variable(n, j)
-            )
-    return result
-
-
-def _heap_key(exps: tuple[int, ...]) -> tuple:
-    # min-heap entry whose smallest element is the graded-lex largest monomial
-    return (-sum(exps), tuple(-e for e in exps))
-
-
-def _int_terms(p: SparsePoly) -> dict[tuple[int, ...], int]:
-    out = {}
-    for exps, coeff in p.terms():
-        if coeff._terms.keys() != {(0, 0)}:
-            raise TypeError(f"exact_divide needs integer coefficients, got {coeff}")
-        out[exps] = coeff._terms[(0, 0)]
-    return out
-
-
-def exact_divide(p: SparsePoly, d: SparsePoly) -> SparsePoly:
-    """Exact quotient p/d of integer-coefficient polynomials; raises
-    ExactDivisionError on a nonzero remainder and TypeError on a coefficient
-    outside Z."""
-    p._check_compatible(d)
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    d_terms = _int_terms(d)
-    dlead = max(d_terms, key=lambda e: (sum(e), e))
-    dcoeff = d_terms[dlead]
-    rem = _int_terms(p)
-    heap = [_heap_key(e) for e in rem]
-    heapq.heapify(heap)
-    quot: dict[tuple[int, ...], int] = {}
-    while rem:
-        while heap:
-            key = heapq.heappop(heap)
-            rlead = tuple(-e for e in key[1])
-            if rem.get(rlead):
-                break
-        else:
-            break
-        shift = tuple(a - b for a, b in zip(rlead, dlead))
-        if any(e < 0 for e in shift) or rem[rlead] % dcoeff:
-            raise ExactDivisionError("leading term not divisible")
-        c = rem[rlead] // dcoeff
-        quot[shift] = c
-        for exps, dc in d_terms.items():
-            key = tuple(a + b for a, b in zip(shift, exps))
-            new = rem.get(key, 0) - c * dc
-            if new:
-                if key not in rem:
-                    heapq.heappush(heap, _heap_key(key))
-                rem[key] = new
-            else:
-                rem.pop(key, None)
-    return SparsePoly(p.nvars, quot)

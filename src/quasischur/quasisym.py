@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 from typing import Iterator, Mapping
@@ -14,7 +14,6 @@ from .combinatorics import (
     set_of_composition,
 )
 from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int, _json_terms
-from .schur import schur_ssyt
 
 BASES = ("F", "M", "s")
 
@@ -169,18 +168,6 @@ def fundamental(alpha, nvars: int) -> SparsePoly:
     return SparsePoly(nvars, terms)
 
 
-def monomial_quasisym(beta, nvars: int) -> SparsePoly:
-    """M_beta: sum of x_{i_1}^{beta_1} ... x_{i_l}^{beta_l} over i_1 < ... < i_l."""
-    beta = Composition(beta)
-    terms: dict[tuple[int, ...], int] = {}
-    for support in combinations(range(nvars), len(beta)):
-        exps = [0] * nvars
-        for i, part in zip(support, beta):
-            exps[i] = part
-        terms[tuple(exps)] = 1
-    return SparsePoly(nvars, terms)
-
-
 def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
     """Coefficients c_beta of the monomial quasisymmetric expansion of p,
     keyed by Composition, and by () for the constant term.
@@ -271,7 +258,8 @@ def is_symmetric_expansion(e: Expansion) -> bool:
     n, are linearly independent, and x^e has coefficient c_beta for beta the
     nonzero parts of e, so the polynomial is symmetric exactly when c_beta is
     the same for every rearrangement of beta.  This is the exact answer of
-    expansion_to_poly(e, n).is_symmetric(), without expanding the polynomial.
+    expanding the polynomial and swapping its variables, without the
+    expansion.
     """
     if e.basis != "F":
         raise ValueError(f"expected an F-basis expansion, got basis {e.basis!r}")
@@ -288,18 +276,3 @@ def is_symmetric_expansion(e: Expansion) -> bool:
         if by_parts.setdefault(tuple(sorted(beta)), coeff) != coeff:
             return False
     return True
-
-
-def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:
-    """Evaluate an expansion as a polynomial in nvars variables."""
-    builders = {
-        "F": fundamental,
-        "M": monomial_quasisym,
-        "s": schur_ssyt,
-    }
-    build = builders[e.basis]
-    total = SparsePoly.zero(nvars)
-    for index, coeff in e.terms():
-        poly = build(index, nvars) if index else SparsePoly.one(nvars)
-        total = total + poly.scalar_mul(coeff)
-    return total

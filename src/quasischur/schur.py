@@ -1,4 +1,5 @@
-"""Composition-indexed Schur functions: straightening and two evaluations."""
+"""Composition-indexed Schur functions: straightening, and Schur polynomials
+by semistandard tableaux."""
 
 from __future__ import annotations
 
@@ -6,13 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import Partition, WeakComposition, permutation_sign
-from .polynomial import (
-    SparsePoly,
-    antisymmetrize,
-    exact_divide,
-    staircase,
-    vandermonde,
-)
+from .polynomial import SparsePoly
 
 
 @dataclass(frozen=True)
@@ -68,35 +63,10 @@ def straighten(gamma) -> SignedSchur:
     return SignedSchur.of(sign, shape)
 
 
-def straighten_once(gamma, i: int) -> WeakComposition:
-    """One application of the exchange rule at positions i, i+1 (1-based)."""
-    gamma = WeakComposition(gamma)
-    if gamma[i] == 0:
-        raise ValueError("exchange requires a positive entry on the right")
-    out = list(gamma)
-    out[i - 1], out[i] = gamma[i] - 1, gamma[i - 1] + 1
-    return WeakComposition(out)
-
-
-def schur_bialternant(gamma, nvars: int | None = None) -> SparsePoly:
-    """s_gamma as the ratio of the alternant of gamma + staircase by the
-    Vandermonde determinant.  May be the zero polynomial."""
-    gamma = WeakComposition(gamma)
-    if nvars is None:
-        nvars = len(gamma)
-    if len(gamma) != nvars:
-        raise ValueError("gamma must have one part per variable")
-    delta = staircase(nvars)
-    numerator = antisymmetrize(
-        SparsePoly.monomial(nvars, tuple(g + d for g, d in zip(gamma, delta)))
-    )
-    return exact_divide(numerator, vandermonde(nvars))
-
-
 @lru_cache(maxsize=None)
 def schur_ssyt(shape, nvars: int) -> SparsePoly:
     """s_shape by direct enumeration of semistandard tableaux with entries
-    at most nvars.  Independent of the bialternant path."""
+    at most nvars.  Independent of straightening and of the alternants."""
     shape = Partition(shape)
     if not shape:
         return SparsePoly.one(nvars)

@@ -1,0 +1,243 @@
+"""Reference implementations that only the tests use.
+
+Each is a slow, direct evaluation that a faster or division-free route in the
+package is compared against: the n!-expanding antisymmetrizer, ordered set
+decompositions, Robinson-Schensted insertion with both tableaux, one step of
+the exchange rule, monomial quasisymmetric polynomials, expansions evaluated
+as polynomials, symmetry by swapping variables, and the full Haglund filling
+sum.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import factorial
+from typing import Iterator
+
+from quasischur.combinatorics import (
+    Composition,
+    Partition,
+    WeakComposition,
+    permutation_sign,
+)
+from quasischur.hall_littlewood import Filling, maj_stat, pides
+from quasischur.polynomial import QT, QT_ZERO, SparsePoly, _sort_sign
+from quasischur.quasisym import Expansion, fundamental
+from quasischur.schur import schur_ssyt
+
+
+# polynomials
+
+
+@lru_cache(maxsize=16)
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple(
+        (perm, permutation_sign(perm)) for perm in permutations(range(n))
+    )
+
+
+def antisymmetrize(p: SparsePoly) -> SparsePoly:
+    """Signed sum over all variable permutations sigma of sgn(sigma)*sigma(p).
+
+    Monomials with a repeated exponent vanish and are skipped; the rest are
+    grouped by sorted exponent vector before the n! expansion.
+    """
+    n = p.nvars
+    classes: dict[tuple[int, ...], QT] = {}
+    for exps, coeff in p.terms():
+        if len(set(exps)) != n:
+            continue
+        key, sign = _sort_sign(exps)
+        new = classes.get(key, QT_ZERO) + coeff * sign
+        if new:
+            classes[key] = new
+        else:
+            classes.pop(key, None)
+    out: dict[tuple[int, ...], QT] = {}
+    for exps, coeff in classes.items():
+        for perm, sign in _signed_permutations(n):
+            out[tuple(exps[i] for i in perm)] = coeff * sign
+    return SparsePoly(n, out)
+
+
+def swap_variables(p: SparsePoly, i: int, j: int) -> SparsePoly:
+    """Exchange x_i and x_j (1-based)."""
+    out: dict[tuple[int, ...], QT] = {}
+    for exps, coeff in p.terms():
+        new = list(exps)
+        new[i - 1], new[j - 1] = new[j - 1], new[i - 1]
+        out[tuple(new)] = coeff
+    return p._wrap(out)
+
+
+def is_symmetric(p: SparsePoly) -> bool:
+    """Invariance under adjacent transpositions, which generate S_n."""
+    for i in range(1, p.nvars):
+        if swap_variables(p, i, i + 1) != p:
+            return False
+    return True
+
+
+def set_variable_to_zero(p: SparsePoly, index: int) -> SparsePoly:
+    """Substitute x_index = 0 and drop the slot (1-based index)."""
+    out: dict[tuple[int, ...], QT] = {}
+    for exps, coeff in p.terms():
+        if exps[index - 1]:
+            continue
+        out[exps[: index - 1] + exps[index:]] = coeff
+    result = SparsePoly.__new__(SparsePoly)
+    result.nvars = p.nvars - 1
+    result._terms = out
+    return result
+
+
+# combinatorics
+
+
+def decompositions(mu: Partition) -> Iterator[tuple[frozenset[int], ...]]:
+    """Ordered decompositions T_1..T_k of {1..n} with |T_i| = mu_i.
+
+    Enumerated in lexicographic order of the block-membership word
+    (block index of 1, block index of 2, ...).
+    """
+    mu = Partition(mu)
+    n = mu.weight
+    k = len(mu)
+    blocks: list[list[int]] = [[] for _ in range(k)]
+
+    def fill(value: int) -> Iterator[tuple[frozenset[int], ...]]:
+        if value > n:
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        for i in range(k):
+            if len(blocks[i]) < mu[i]:
+                blocks[i].append(value)
+                yield from fill(value + 1)
+                blocks[i].pop()
+
+    yield from fill(1)
+
+
+def decomposition_count(mu: Partition) -> int:
+    mu = Partition(mu)
+    count = factorial(mu.weight)
+    for part in mu:
+        count //= factorial(part)
+    return count
+
+
+def rsk_insert(sigma) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Robinson-Schensted row insertion of a permutation word.
+
+    Returns the pair (P, Q) of standard tableaux as tuples of rows.
+    """
+    sigma = tuple(sigma)
+    n = len(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{sigma} is not a permutation of 1..{n}")
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for step, value in enumerate(sigma, start=1):
+        row = 0
+        while True:
+            if row == len(p_rows):
+                p_rows.append([value])
+                q_rows.append([step])
+                break
+            current = p_rows[row]
+            # rows increase, so the leftmost entry larger than value is here
+            bump = bisect_right(current, value)
+            if bump == len(current):
+                current.append(value)
+                q_rows[row].append(step)
+                break
+            current[bump], value = value, current[bump]
+            row += 1
+    freeze = lambda rows: tuple(tuple(r) for r in rows)
+    return freeze(p_rows), freeze(q_rows)
+
+
+# Schur functions and quasisymmetric expansions
+
+
+def straighten_once(gamma, i: int) -> WeakComposition:
+    """One application of the exchange rule at positions i, i+1 (1-based)."""
+    gamma = WeakComposition(gamma)
+    if gamma[i] == 0:
+        raise ValueError("exchange requires a positive entry on the right")
+    out = list(gamma)
+    out[i - 1], out[i] = gamma[i] - 1, gamma[i - 1] + 1
+    return WeakComposition(out)
+
+
+def monomial_quasisym(beta, nvars: int) -> SparsePoly:
+    """M_beta: sum of x_{i_1}^{beta_1} ... x_{i_l}^{beta_l} over i_1 < ... < i_l."""
+    beta = Composition(beta)
+    terms: dict[tuple[int, ...], int] = {}
+    for support in combinations(range(nvars), len(beta)):
+        exps = [0] * nvars
+        for i, part in zip(support, beta):
+            exps[i] = part
+        terms[tuple(exps)] = 1
+    return SparsePoly(nvars, terms)
+
+
+def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:
+    """Evaluate an expansion as a polynomial in nvars variables."""
+    builders = {
+        "F": fundamental,
+        "M": monomial_quasisym,
+        "s": schur_ssyt,
+    }
+    build = builders[e.basis]
+    total = SparsePoly.zero(nvars)
+    for index, coeff in e.terms():
+        poly = build(index, nvars) if index else SparsePoly.one(nvars)
+        total = total + poly.scalar_mul(coeff)
+    return total
+
+
+# diagram fillings
+
+
+def _counterclockwise(a: int, b: int, c: float) -> bool:
+    return (a > b > c) or (b > c > a) or (c > a > b)
+
+
+def inv_stat(f: Filling) -> int:
+    """Count of inversion triples: cells u left of v in a row, with the cell
+    directly below u (or a virtual +infinity below the bottom row)."""
+    total = 0
+    for i, row in enumerate(f.rows):
+        below = f.rows[i - 1] if i > 0 else None
+        for a_pos in range(len(row)):
+            c = below[a_pos] if below is not None else float("inf")
+            for b_pos in range(a_pos + 1, len(row)):
+                if _counterclockwise(row[a_pos], row[b_pos], c):
+                    total += 1
+    return total
+
+
+def all_fillings(mu) -> Iterator[Filling]:
+    """All n! bijective fillings of mu."""
+    mu = Partition(mu)
+    for word in permutations(range(1, mu.weight + 1)):
+        yield Filling.from_reading_word(mu, word)
+
+
+def haglund_expansion(mu) -> Expansion:
+    """F-expansion of the modified Macdonald polynomial via filling statistics:
+    sum over all fillings of q^inv t^maj F_pides."""
+    mu = Partition(mu)
+    terms: dict[tuple[int, ...], QT] = {}
+    for f in all_fillings(mu):
+        coeff = QT.term(1, qexp=inv_stat(f), texp=maj_stat(f))
+        index = tuple(pides(f.reading_word))
+        new = terms.get(index, QT_ZERO) + coeff
+        if new:
+            terms[index] = new
+        else:
+            terms.pop(index, None)
+    return Expansion("F", mu.weight, terms)

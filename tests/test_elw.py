@@ -20,10 +20,11 @@ from quasischur.elw import (
     locate_block,
     verify_involution,
 )
-from quasischur.polynomial import SparsePoly, antisymmetrize, staircase
-from quasischur.quasisym import Expansion, expansion_to_poly, extract_f_expansion
+from quasischur.polynomial import SparsePoly, staircase
+from quasischur.quasisym import Expansion, extract_f_expansion
 from quasischur.schur import schur_ssyt, straighten
 
+from oracles import antisymmetrize, expansion_to_poly
 from test_quasisym import reference_words
 
 
@@ -184,12 +185,32 @@ class TestInvolution:
         ],
     )
     def test_kernel_checks_raise(self, alpha, word, error, message):
-        # words outside the family: each check of the kernel still fires
+        # words outside the family: each check of the kernel fires, and
+        # the public wrappers refuse the word before the kernel sees it
         u = ConstrainedMonomial(Composition(alpha), word)
-        with pytest.raises(error, match=message):
+        with pytest.raises(ValueError, match="not a constrained monomial"):
             involution(u)
         with pytest.raises(error, match=message):
             elw._exchange(alpha, set_of_composition(alpha), elw._exponents(word))
+
+    @pytest.mark.parametrize(
+        "alpha, word",
+        [
+            ((1, 1, 1), (1, 2)),  # fewer letters than alpha has parts
+            ((2,), (1, 3)),  # a letter beyond the word's length
+            ((2,), (0, 1)),  # a letter below 1
+            ((2,), (1, 1.5)),  # a letter that is not an integer
+            ((2,), (2, 1)),  # not weakly increasing
+            ((1, 1), (2, 2)),  # no strict rise at the point of Set(alpha)
+            ((2, 1), (1, 1, 2, 3)),  # more letters than the weight
+        ],
+    )
+    def test_wrappers_refuse_a_word_outside_the_family(self, alpha, word):
+        u = ConstrainedMonomial(Composition(alpha), word)
+        with pytest.raises(ValueError, match="not a constrained monomial"):
+            involution(u)
+        with pytest.raises(ValueError, match="not a constrained monomial"):
+            locate_block(u)
 
     def test_locate_block_refuses_the_fixed_point(self):
         with pytest.raises(ValueError, match="fixed point"):

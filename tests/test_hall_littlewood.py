@@ -5,8 +5,9 @@ import pytest
 from quasischur.combinatorics import (
     Composition,
     Partition,
-    decomposition_count,
-    decompositions,
+    composition_of_set,
+    descent_set,
+    inverse_permutation,
     pad,
     partitions_of,
     rsk_shape,
@@ -16,13 +17,9 @@ from quasischur.hall_littlewood import (
     ExperimentReport,
     Filling,
     SizeBoundError,
-    _counterclockwise,
     _force_row,
-    all_fillings,
-    haglund_expansion,
     hl_fundamental_expansion,
     hll_expansion,
-    inv_stat,
     inv_zero_fillings,
     is_schur_positive,
     leftover_experiment,
@@ -34,6 +31,16 @@ from quasischur.elw import elw_to_schur
 from quasischur.polynomial import QT, QT_ZERO, Q, T
 from quasischur.quasisym import Expansion
 from quasischur.schur import straighten
+
+from oracles import (
+    _counterclockwise,
+    all_fillings,
+    decomposition_count,
+    decompositions,
+    haglund_expansion,
+    inv_stat,
+    rsk_insert,
+)
 
 # every shape of weight <= 7, and the weight-9 counterexample shape
 ORACLE_SHAPES = [mu for n in range(1, 8) for mu in partitions_of(n)] + [
@@ -170,6 +177,17 @@ class TestPides:
 
     def test_reverse(self):
         assert pides((4, 3, 2, 1)) == Composition((1, 1, 1, 1))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_is_the_descent_composition_of_p(self, n):
+        # Des(sigma^-1) = Des(P(sigma)), where i is a descent of a standard
+        # tableau when i + 1 sits in a lower row (Stanley, EC2 7.23)
+        for sigma in permutations(range(1, n + 1)):
+            p, _ = rsk_insert(sigma)
+            row_of = {value: r for r, row in enumerate(p) for value in row}
+            p_descents = frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+            assert descent_set(inverse_permutation(sigma)) == p_descents, sigma
+            assert pides(sigma) == composition_of_set(p_descents, n), sigma
 
 
 def inversion_free_orderings(row_below, entries):

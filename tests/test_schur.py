@@ -2,15 +2,11 @@ from operator import add
 
 import pytest
 
-from quasischur.combinatorics import Partition, compositions_of, pad, partitions_of
+from quasischur.combinatorics import compositions_of, pad, partitions_of
 from quasischur.polynomial import SparsePoly, class_map, staircase
-from quasischur.schur import (
-    SignedSchur,
-    schur_bialternant,
-    schur_ssyt,
-    straighten,
-    straighten_once,
-)
+from quasischur.schur import SignedSchur, schur_ssyt, straighten
+
+from oracles import antisymmetrize, is_symmetric, straighten_once
 
 
 def is_schur_by_class_map(f, lam, n):
@@ -20,7 +16,7 @@ def is_schur_by_class_map(f, lam, n):
     x^(lam + delta)."""
     delta = staircase(n)
     lifted = class_map((tuple(map(add, exps, delta)), c) for exps, c in f.terms())
-    return f.is_symmetric() and lifted == {tuple(map(add, pad(lam, n), delta)): 1}
+    return is_symmetric(f) and lifted == {tuple(map(add, pad(lam, n), delta)): 1}
 
 
 def weak_compositions(total, length):
@@ -46,8 +42,10 @@ class TestStraighten:
     def test_padded_example_matches_bialternant(self):
         gamma = pad((2, 3, 2, 1), 8)
         normal = straighten(gamma)
-        # the shifted vector has a repeat here, so the bialternant vanishes too
+        # the shifted vector has a repeat here, so the alternant of
+        # x^(gamma + delta), the bialternant's numerator, vanishes too
         assert normal.is_zero()
+        assert class_map([(tuple(map(add, gamma, staircase(8))), 1)]) == {}
 
     def test_trailing_zeros_dropped(self):
         assert straighten((2, 1, 0, 0)) == SignedSchur.of(1, (2, 1))
@@ -91,24 +89,6 @@ class TestStraighten:
                 assert normal == SignedSchur.of(1, lam)
 
 
-class TestBialternant:
-    def test_e2(self):
-        p = schur_bialternant((1, 1))
-        assert p == SparsePoly.monomial(2, (1, 1))
-
-    def test_h2(self):
-        p = schur_bialternant((2, 0))
-        expected = (
-            SparsePoly.monomial(2, (2, 0))
-            + SparsePoly.monomial(2, (1, 1))
-            + SparsePoly.monomial(2, (0, 2))
-        )
-        assert p == expected
-
-    def test_zero_case(self):
-        assert schur_bialternant((1, 2)).is_zero()
-
-
 class TestSsyt:
     def test_single_box_row(self):
         p = schur_ssyt((1,), 3)
@@ -128,30 +108,47 @@ class TestSsyt:
         assert schur_ssyt((), 3) == SparsePoly.one(3)
 
 
+def alternant(n, exps, coeff=1):
+    """The alternant of coeff * x^exps in n variables, through the n! oracle."""
+    return antisymmetrize(SparsePoly.monomial(n, exps, coeff))
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("length", range(1, 6))
-    def test_bialternant_matches_ssyt(self, length):
+    def test_straighten_matches_alternant(self, length):
+        # s_gamma = sign * s_lam exactly when a_(gamma + delta) is sign times
+        # a_(lam + delta), and s_gamma = 0 exactly when a_(gamma + delta) = 0:
+        # both sides are divided by the same nonzerodivisor a_delta
+        delta = staircase(length)
         for weight in range(7):
             for gamma in weak_compositions(weight, length):
-                via_ratio = schur_bialternant(gamma, length)
+                lifted = alternant(length, tuple(map(add, gamma, delta)))
                 normal = straighten(gamma)
                 if normal.is_zero():
-                    assert via_ratio.is_zero(), gamma
+                    assert lifted.is_zero(), gamma
                 else:
-                    expected = schur_ssyt(normal.shape, length).scalar_mul(normal.sign)
-                    assert via_ratio == expected, gamma
+                    lam = pad(normal.shape, length)
+                    expected = alternant(length, tuple(map(add, lam, delta)), normal.sign)
+                    assert lifted == expected, gamma
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_partition_cases(self, n):
+        delta = staircase(n)
         for m in range(n + 1):
             for lam in partitions_of(m):
                 if len(lam) > n:
                     continue
+                f = schur_ssyt(lam, n)
                 if n <= 5:
-                    assert schur_bialternant(pad(lam, n), n) == schur_ssyt(lam, n)
+                    # for a symmetric f, the alternant of f * x^delta is
+                    # f * a_delta, so f = s_lam when it is a_(lam + delta)
+                    lifted = antisymmetrize(f * SparsePoly.monomial(n, delta))
+                    expected = alternant(n, tuple(map(add, pad(lam, n), delta)))
+                    assert is_symmetric(f) and lifted == expected, lam
                 else:
-                    # dividing by the 720-term Vandermonde would cost seconds
-                    assert is_schur_by_class_map(schur_ssyt(lam, n), lam, n), lam
+                    # the same identity, read off the class maps without the
+                    # n! expansion
+                    assert is_schur_by_class_map(f, lam, n), lam
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_class_map_check_needs_every_monomial_and_symmetry(self, n):

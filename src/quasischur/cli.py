@@ -245,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hll", help="Schur expansion of the modified Hall-Littlewood polynomial")
     p.add_argument("mu", help="partition, e.g. 3,3,3")
-    p.add_argument("--experiment", action="store_true",
-                   help="run the Schensted leftover experiment and report the discrepancy")
-    p.add_argument("--text", action="store_true")
+    output = p.add_mutually_exclusive_group()  # the experiment report is JSON only
+    output.add_argument("--experiment", action="store_true",
+                        help="run the Schensted leftover experiment and report the discrepancy")
+    output.add_argument("--text", action="store_true")
     _add_max_n(p)
     p.set_defaults(func=cmd_hll)
 

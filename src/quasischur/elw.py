@@ -251,10 +251,11 @@ def verify_involution(alpha) -> VerificationReport:
     exponent vector determine each other.  Words are still what the report
     lists.  The alternant clause compares class maps (`class_map`): the
     alternant of the sum of x^(gamma + delta) against that of
-    x^(alpha + delta).  The class map sorts with a sign through
-    `polynomial._sort_sign`, as `schur.straighten` does through
-    `permutation_sign` for the telescoping clause; the independent n!
-    expansion of both alternants (`antisymmetrize`) is kept in the tests.
+    x^(alpha + delta).  The class map and `schur.straighten`, behind the
+    telescoping clause, sort with a sign through the same
+    `polynomial._sort_sign`, so the two clauses share that sort; the
+    independent n! expansion of both alternants (`antisymmetrize`) is kept
+    in the tests.
     """
     alpha = Composition(alpha)
     n = alpha.weight
@@ -318,8 +319,8 @@ def verify_involution(alpha) -> VerificationReport:
     else:
         report.telescopes = signed_total == {tuple(target.shape): target.sign}
 
-    # polynomial route, bypassing the straightening closed form: the
-    # alternant of the monomial sum must be s_alpha * a_delta, which is the
+    # polynomial route, through class maps rather than the straightened
+    # values: the alternant of the monomial sum must be s_alpha * a_delta, the
     # alternant of x^(alpha + delta); a_delta is a nonzerodivisor, so comparing
     # the two alternants needs no division
     delta = staircase(n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, permutations, repeat
 from operator import add, gt, itemgetter
@@ -159,27 +160,61 @@ def _t_polynomial(census: dict[int, int]) -> QT:
     return QT({(0, texp): count for texp, count in census.items()})
 
 
+def _picker(positions: list[int]):
+    """itemgetter for positions that returns a tuple for any count."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    return lambda word: tuple(word[p] for p in positions)
+
+
+def _census(mu: Partition, max_n: int) -> Iterator[tuple[tuple[bool, ...], int, tuple]]:
+    """(mask, maj, word) for each reading word of inv_zero_fillings(mu), the
+    one reading of the filling statistics behind every expansion here.
+
+    mask[i] is whether i + 1 is a descent of word^-1, so the pides of word is
+    _mask_composition(mask, n); maj is maj_stat of the filling.  Each is read
+    off the word in one pass: the mask from the positions of i and i + 1, maj
+    from the positions of the vertically adjacent cells."""
+    # the cell in column j of row r (0 = bottom) sits at position
+    # starts[r] + j of the reading word, which lists the rows top down, and a
+    # descent between rows r + 1 and r in column j sits at position
+    # height(j) - r - 1 of the column's top-to-bottom word
+    starts = [sum(mu[r + 1 :]) for r in range(len(mu))]
+    ups, downs, weights = [], [], []
+    for r in range(len(mu) - 1):
+        for j in range(mu[r + 1]):
+            ups.append(starts[r + 1] + j)
+            downs.append(starts[r] + j)
+            weights.append(sum(1 for part in mu if part > j) - r - 1)
+    up, down = _picker(ups), _picker(downs)
+    positions = range(mu.weight)
+    for word in inv_zero_fillings(mu, max_n=max_n):
+        # where[v - 1] is the position of v in word; i is a descent of
+        # word^-1 exactly when i sits after i + 1
+        where = sorted(positions, key=word.__getitem__)
+        maj = sum(compress(weights, map(gt, up(word), down(word))))
+        yield tuple(map(gt, where, where[1:])), maj, word
+
+
+def _mask_composition(mask: tuple[bool, ...], n: int) -> tuple[int, ...]:
+    """The composition of n whose descent set is {i + 1 : mask[i]}."""
+    return tuple(composition_of_set({i + 1 for i, d in enumerate(mask) if d}, n))
+
+
 def hl_fundamental_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
     """F-expansion of the modified Hall-Littlewood polynomial: the q = 0
     specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
 
-    It turns each reading word into a validated Filling and reads it through
-    maj_stat and pides, independently of the inline statistics in
-    leftover_experiment, so hll_expansion is the independent check of that
-    experiment's true side.  The fillings are counted per pides index and
-    maj, and each index gets one coefficient after the walk."""
+    The fillings are counted per descent mask and maj off _census, as in
+    leftover_experiment.  The tests check this sum against maj_stat and pides
+    over an independent walk, and against cocharge through hll_expansion."""
     mu = Partition(mu)
-    # row r (0 = bottom) of a filling is word[row_slices[r]]
-    ends = [sum(mu[r:]) for r in range(len(mu) + 1)]
-    row_slices = [slice(ends[r + 1], ends[r]) for r in range(len(mu))]
-    # pides index -> maj -> filling count
-    census: dict[tuple[int, ...], dict[int, int]] = {}
-    for word in inv_zero_fillings(mu, max_n=max_n):
-        maj = maj_stat(Filling(mu, tuple(word[s] for s in row_slices)))
-        majs = census.setdefault(tuple(pides(word)), {})
-        majs[maj] = majs.get(maj, 0) + 1
-    terms = {index: _t_polynomial(majs) for index, majs in census.items()}
-    return Expansion("F", mu.weight, terms)
+    n = mu.weight
+    census: dict = defaultdict(Counter)  # mask -> maj -> filling count
+    for mask, maj, _ in _census(mu, max_n):
+        census[mask][maj] += 1
+    terms = {_mask_composition(mask, n): _t_polynomial(majs) for mask, majs in census.items()}
+    return Expansion("F", n, terms)
 
 
 def hll_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
@@ -222,75 +257,40 @@ class ExperimentReport:
         }
 
 
-def _picker(positions: list[int]):
-    """itemgetter for positions that returns a tuple for any count."""
-    if len(positions) >= 2:
-        return itemgetter(*positions)
-    return lambda word: tuple(word[p] for p in positions)
-
-
 def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
     """Classify each inversion-free filling by the sign of its straightened
     descent-composition Schur value, keep the plus-class fillings whose
     Schensted shape matches the straightened shape, and compare the resulting
     sum against the true expansion, built from the same walk.
 
-    The statistics are read off the reading word in one pass each: pides
-    from the positions of i and i + 1, maj from the vertically adjacent
-    cells.  Each descent mask is straightened once, and the fillings are
-    counted per mask and maj; the class counts are read off that census
+    The fillings come from _census, as in hl_fundamental_expansion.  Each
+    descent mask is straightened once, and the fillings are counted per mask
+    and maj; the class counts and both expansions are read off that census
     after the walk."""
     mu = Partition(mu)
     n = mu.weight
-    # the cell in column j of row r (0 = bottom) sits at position
-    # starts[r] + j of the reading word, which lists the rows top down
-    starts = [sum(mu[r + 1 :]) for r in range(len(mu))]
-    ups: list[int] = []
-    downs: list[int] = []
-    # a descent between rows r + 1 and r in column j sits at position
-    # height(j) - r - 1 of the column's top-to-bottom word
-    weights: list[int] = []
-    for r in range(len(mu) - 1):
-        for j in range(mu[r + 1]):
-            ups.append(starts[r + 1] + j)
-            downs.append(starts[r] + j)
-            weights.append(sum(1 for part in mu if part > j) - r - 1)
-    up, down = _picker(ups), _picker(downs)
-    positions = range(n)
     # mask -> (pides, straightened Schur value, maj -> filling count,
     # maj -> kept filling count, or None off the plus class)
     by_mask: dict[tuple[bool, ...], tuple] = {}
-    for sigma in inv_zero_fillings(mu, max_n=max_n):
-        # where[v - 1] is the position of v in sigma; i is a descent of
-        # sigma^-1 exactly when i sits after i + 1
-        where = sorted(positions, key=sigma.__getitem__)
-        mask = tuple(map(gt, where, where[1:]))
-        maj = sum(compress(weights, map(gt, up(sigma), down(sigma))))
+    for mask, maj, sigma in _census(mu, max_n):
         entry = by_mask.get(mask)
         if entry is None:
-            descents = {i + 1 for i, d in enumerate(mask) if d}
-            index = tuple(composition_of_set(descents, n))
+            index = _mask_composition(mask, n)
             normal = straighten(index)
-            entry = by_mask[mask] = (
-                index, normal, {}, {} if normal.sign > 0 else None
-            )
+            entry = by_mask[mask] = (index, normal, {}, {} if normal.sign > 0 else None)
         _, normal, majs, kept_majs = entry
         majs[maj] = majs.get(maj, 0) + 1
         if kept_majs is not None and rsk_shape(sigma) == normal.shape:
             kept_majs[maj] = kept_majs.get(maj, 0) + 1
     counts = {"zero": 0, "minus": 0, "plus": 0}
     # shape -> maj -> kept filling count
-    kept_census: dict[tuple[int, ...], dict[int, int]] = {}
+    kept_census: dict[tuple[int, ...], Counter] = {}
     for _, normal, majs, kept_majs in by_mask.values():
         sign_class = "zero" if normal.is_zero() else "minus" if normal.sign < 0 else "plus"
         counts[sign_class] += sum(majs.values())
         if kept_majs:
-            shape_majs = kept_census.setdefault(tuple(normal.shape), {})
-            for maj, count in kept_majs.items():
-                shape_majs[maj] = shape_majs.get(maj, 0) + count
-    conjectured = Expansion(
-        "s", n, {shape: _t_polynomial(m) for shape, m in kept_census.items()}
-    )
+            kept_census.setdefault(tuple(normal.shape), Counter()).update(kept_majs)
+    conjectured = Expansion("s", n, {shape: _t_polynomial(m) for shape, m in kept_census.items()})
     # the F-to-s replacement is linear, so this walk's F-expansion gives the
     # true expansion without walking the fillings again in hll_expansion
     f_terms = {index: _t_polynomial(m) for index, _, m, _ in by_mask.values()}

@@ -371,9 +371,9 @@ class SparsePoly:
 def _sort_sign(exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Sort an exponent vector into decreasing order, tracking the sign.
 
-    This is the sort behind both `class_map` and the grouping step of the
-    tests' n!-expanding antisymmetrizer; `schur.straighten` sorts its shifted
-    vector with a sign of its own, through `permutation_sign`.
+    This is the one signed sort of the package: `class_map` sorts exponent
+    vectors with it, `schur.straighten` its shifted vector, and the tests'
+    n!-expanding antisymmetrizer its grouping step.
     """
     order = sorted(range(len(exps)), key=lambda i: -exps[i])
     return tuple(exps[i] for i in order), permutation_sign(order)

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import Partition, WeakComposition, permutation_sign
-from .polynomial import SparsePoly
+from .combinatorics import Partition, WeakComposition
+from .polynomial import SparsePoly, _sort_sign
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ def straighten(gamma) -> SignedSchur:
     shifted = tuple(gamma[j] + n - 1 - j for j in range(n))
     if len(set(shifted)) != n:
         return SignedSchur.zero()
-    order = sorted(range(n), key=lambda j: -shifted[j])
-    sign = permutation_sign(order)
-    sorted_shifted = [shifted[j] for j in order]
+    sorted_shifted, sign = _sort_sign(shifted)
     shape = [sorted_shifted[j] - (n - 1 - j) for j in range(n)]
     while shape and shape[-1] == 0:
         shape.pop()

@@ -4,15 +4,15 @@ Each is a slow, direct evaluation that a faster or division-free route in the
 package is compared against: the n!-expanding antisymmetrizer, ordered set
 decompositions, Robinson-Schensted insertion with both tableaux, one step of
 the exchange rule, monomial quasisymmetric polynomials, expansions evaluated
-as polynomials, symmetry by swapping variables, and the full Haglund filling
-sum.
+as polynomials, symmetry by swapping variables, the full Haglund filling
+sum, and the Hall-Littlewood Schur expansion by cocharge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from typing import Iterator
 
@@ -241,3 +241,93 @@ def haglund_expansion(mu) -> Expansion:
         else:
             terms.pop(index, None)
     return Expansion("F", mu.weight, terms)
+
+
+
+# Kostka-Foulkes polynomials
+
+
+def _horizontal_strips(shape: tuple[int, ...], count: int) -> Iterator[tuple[int, ...]]:
+    """The shapes nu with nu / shape a horizontal strip of count cells:
+    shape[r] <= nu[r] <= shape[r - 1] for every row r, one new row allowed."""
+    rows = shape + (0,)
+
+    def grow(r: int, left: int) -> Iterator[tuple[int, ...]]:
+        if r == len(rows):
+            if left == 0:
+                yield ()
+            return
+        room = left if r == 0 else min(left, rows[r - 1] - rows[r])
+        for k in range(room + 1):
+            for rest in grow(r + 1, left - k):
+                yield (rows[r] + k,) + rest
+
+    for nu in grow(0, count):
+        yield nu if nu[-1] else nu[:-1]
+
+
+def semistandard_tableaux(mu) -> list[tuple[tuple[int, ...], ...]]:
+    """Every semistandard tableau of content mu, of any shape, as a tuple of
+    rows in English notation (top row first): the cells of letter i form a
+    horizontal strip of mu_i cells on the tableau of the letters below i."""
+    tableaux: list[tuple[tuple[int, ...], ...]] = [()]
+    for letter, count in enumerate(Partition(mu), start=1):
+        tableaux = [
+            tuple(
+                (tableau[r] if r < len(tableau) else ())
+                + (letter,) * (length - (len(tableau[r]) if r < len(tableau) else 0))
+                for r, length in enumerate(nu)
+            )
+            for tableau in tableaux
+            for nu in _horizontal_strips(tuple(map(len, tableau)), count)
+        ]
+    return tableaux
+
+
+def charge(word) -> int:
+    """Lascoux-Schutzenberger charge of a word of partition content.
+
+    Split off standard subwords: read right to left, cyclically, take the
+    first 1, then the next 2, and so on while the letter occurs; the index
+    starts at 0 and goes up by one each time the reading wraps round, and the
+    charge adds up the indices of every standard subword."""
+    letters = list(word)
+    total = 0
+    while letters:
+        picked: set[int] = set()
+        pos = len(letters)
+        index = 0
+        letter = 1
+        while True:
+            found = next((p for p in range(pos - 1, -1, -1) if letters[p] == letter), None)
+            if found is None:
+                # wrap round: the rightmost occurrence, right of pos
+                found = next(
+                    (p for p in range(len(letters) - 1, pos, -1) if letters[p] == letter),
+                    None,
+                )
+                if found is None:
+                    break
+                index += 1
+            total += index
+            picked.add(found)
+            pos = found
+            letter += 1
+        letters = [v for p, v in enumerate(letters) if p not in picked]
+    return total
+
+
+def cocharge_expansion(mu) -> Expansion:
+    """Schur expansion of the modified Hall-Littlewood polynomial by the
+    cocharge Kostka-Foulkes polynomials (Lascoux-Schutzenberger 1978):
+    the sum over semistandard tableaux T of content mu of
+    t^(n(mu) - charge(T)) s_shape(T), the charge taken of the reading word,
+    bottom row first.  It reads no filling."""
+    mu = Partition(mu)
+    n_mu = sum(i * part for i, part in enumerate(mu))
+    terms: dict[tuple[int, ...], QT] = {}
+    for tableau in semistandard_tableaux(mu):
+        shape = tuple(map(len, tableau))
+        cocharge = n_mu - charge(chain.from_iterable(reversed(tableau)))
+        terms[shape] = terms.get(shape, QT_ZERO) + QT.term(1, texp=cocharge)
+    return Expansion("s", mu.weight, terms)

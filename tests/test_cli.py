@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -512,6 +514,17 @@ class TestHll:
         code, _, _ = run_cli(capsys, "hll", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--experiment", "--text"], ["--text", "--experiment"]], ids=["ex-text", "text-ex"]
+    )
+    def test_experiment_refuses_text(self, capsys, flags):
+        # the experiment report is JSON only
+        with pytest.raises(SystemExit) as exc:
+            main(["hll", *flags, "2,1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "not allowed with" in captured.err
+
 
 class TestPositivity:
     def test_weight_four(self, capsys):
@@ -548,6 +561,23 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestRecordedDigests:
+    def test_stdout_matches_recorded_sha256(self, capsys):
+        # hll (JSON, --text, --experiment) on every partition of weight <= 7
+        # and 3,3,3, and positivity 1..7, as recorded before the filling
+        # statistics were read through one census
+        recorded = json.loads(
+            (Path(__file__).parent / "data" / "cli_digests.json").read_text()
+        )["digests"]
+        changed = []
+        for argv, digest in recorded.items():
+            code = main(argv.split())
+            out = capsys.readouterr().out
+            if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+                changed.append(argv)
+        assert not changed
 
 
 class TestEarlyStdoutClose:

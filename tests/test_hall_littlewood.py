@@ -17,7 +17,9 @@ from quasischur.hall_littlewood import (
     ExperimentReport,
     Filling,
     SizeBoundError,
+    _census,
     _force_row,
+    _mask_composition,
     hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
@@ -35,6 +37,8 @@ from quasischur.schur import straighten
 from oracles import (
     _counterclockwise,
     all_fillings,
+    charge,
+    cocharge_expansion,
     decomposition_count,
     decompositions,
     haglund_expansion,
@@ -75,20 +79,30 @@ def reference_inv_zero_fillings(mu):
         yield Filling(mu, tuple(rows))
 
 
+def reference_hl_fundamental_expansion(mu):
+    """The sum of t^maj F_pides over reference_inv_zero_fillings, each filling
+    read through maj_stat and pides: the reference for the package's census."""
+    mu = Partition(mu)
+    terms = {}
+    for f in reference_inv_zero_fillings(mu):
+        index = tuple(pides(f.reading_word))
+        terms[index] = terms.get(index, QT_ZERO) + QT.term(1, texp=maj_stat(f))
+    return Expansion("F", mu.weight, terms)
+
+
 def reference_leftover_experiment(mu):
     """The leftover experiment with every statistic computed per filling
     through pides, maj_stat and straighten."""
     mu = Partition(mu)
     n = mu.weight
     counts = {"zero": 0, "minus": 0, "plus": 0}
-    f_terms, kept_terms = {}, {}
+    kept_terms = {}
     kept = total = 0
     for f in reference_inv_zero_fillings(mu):
         total += 1
         sigma = f.reading_word
         index = tuple(pides(sigma))
         t_maj = QT.term(1, texp=maj_stat(f))
-        f_terms[index] = f_terms.get(index, QT_ZERO) + t_maj
         normal = straighten(pad(index, n))
         if normal.is_zero():
             counts["zero"] += 1
@@ -103,7 +117,7 @@ def reference_leftover_experiment(mu):
         key = tuple(normal.shape)
         kept_terms[key] = kept_terms.get(key, QT_ZERO) + t_maj
     conjectured = Expansion("s", n, kept_terms)
-    true_expansion = elw_to_schur(Expansion("F", n, f_terms))
+    true_expansion = elw_to_schur(reference_hl_fundamental_expansion(mu))
     return ExperimentReport(
         mu=mu,
         filling_count=total,
@@ -280,6 +294,20 @@ class TestExpansions:
     def test_hll_single_row(self, n):
         assert hll_expansion((n,)) == Expansion("s", n, {(n,): 1})
 
+    @pytest.mark.parametrize("mu", ORACLE_SHAPES + WEIGHT_EIGHT, ids=shape_id)
+    def test_matches_reference_filling_sum(self, mu):
+        assert hl_fundamental_expansion(mu) == reference_hl_fundamental_expansion(mu)
+
+    @pytest.mark.parametrize("mu", ORACLE_SHAPES, ids=shape_id)
+    def test_census_reads_each_word_as_maj_stat_and_pides(self, mu):
+        # per word, since the sum cannot see a census that reverses every
+        # mask: the coefficients of F_alpha and F_reverse(alpha) in a
+        # symmetric function agree
+        mu = Partition(mu)
+        for mask, maj, word in _census(mu, max_n=9):
+            assert _mask_composition(mask, mu.weight) == tuple(pides(word)), word
+            assert maj == maj_stat(Filling.from_reading_word(mu, word)), word
+
     def test_one_row_haglund_anchor(self):
         # forces the inversion-triple orientation: inv(21) = 1, inv(12) = 0
         assert haglund_expansion((2,)) == Expansion("F", 2, {(2,): 1, (1, 1): Q})
@@ -305,6 +333,44 @@ class TestExpansions:
             assert e.coefficient((n,)) == QT.integer(1)
 
 
+class TestCocharge:
+    def test_charge_of_standard_words(self):
+        # the index goes up each time i + 1 sits right of i
+        assert [charge(w) for w in [(1, 2), (2, 1), (1, 2, 3), (3, 1, 2)]] == [1, 0, 3, 2]
+
+    def test_charge_of_a_word_with_repeated_letters(self):
+        # the standard subwords are 2 1 _ 3 _ and _ _ 1 _ 2
+        assert charge((2, 1, 1, 3, 2)) == charge((2, 1, 3)) + charge((1, 2))
+
+    @pytest.mark.parametrize(
+        "n", list(range(1, 9)) + [pytest.param(9, marks=pytest.mark.slow)]
+    )
+    def test_matches_hll_expansion(self, n):
+        for mu in partitions_of(n):
+            assert hll_expansion(mu) == cocharge_expansion(mu), mu
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "mu, discrepancy",
+        [
+            ((4, 3, 3), {(6, 2, 2): QT.term(-1, texp=5)}),
+            (
+                (3, 3, 3, 1),
+                {
+                    (5, 2, 2, 1): QT.term(-1, texp=8),
+                    (5, 3, 2): QT.term(-1, texp=7),
+                    (6, 2, 2): QT.term(-1, texp=7),
+                },
+            ),
+        ],
+        ids=["4,3,3", "3,3,3,1"],
+    )
+    def test_weight_ten_experiment(self, mu, discrepancy):
+        report = leftover_experiment(mu, max_n=10)
+        assert report.true_expansion == cocharge_expansion(mu)
+        assert report.discrepancy == Expansion("s", 10, discrepancy)
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("mu", [(1, 1), (2,), (2, 1)])
     def test_small_shapes(self, mu):
@@ -327,13 +393,17 @@ class TestLeftoverExperiment:
         for mu in partitions_of(n):
             report = leftover_experiment(mu)
             assert report.discrepancy.is_zero(), (mu, report.discrepancy)
-            assert report.true_expansion == hll_expansion(mu)
+            assert report.true_expansion == elw_to_schur(
+                reference_hl_fundamental_expansion(mu)
+            )
 
     def test_counterexample_shape(self):
         report = leftover_experiment((3, 3, 3))
         assert report.filling_count == 1680
         assert len(list(report.discrepancy.terms())) == 1
-        assert report.true_expansion == hll_expansion((3, 3, 3))
+        assert report.true_expansion == elw_to_schur(
+            reference_hl_fundamental_expansion((3, 3, 3))
+        )
 
     def test_report_identity(self):
         report = leftover_experiment((2, 2))

@@ -6,7 +6,18 @@ from bisect import bisect_right
 from typing import Iterator
 
 
-class Composition(tuple):
+class _Parts(tuple):
+    """A sequence of integer parts; each subclass checks its parts in __new__."""
+
+    @property
+    def weight(self) -> int:
+        return sum(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)})"
+
+
+class Composition(_Parts):
     """Finite sequence of strictly positive integers."""
 
     def __new__(cls, parts) -> "Composition":
@@ -17,15 +28,8 @@ class Composition(tuple):
             raise ValueError(f"composition parts must be >= 1, got {parts}")
         return super().__new__(cls, parts)
 
-    @property
-    def weight(self) -> int:
-        return sum(self)
 
-    def __repr__(self) -> str:
-        return f"Composition({tuple(self)})"
-
-
-class WeakComposition(tuple):
+class WeakComposition(_Parts):
     """Fixed-length sequence of non-negative integers."""
 
     def __new__(cls, parts) -> "WeakComposition":
@@ -34,15 +38,8 @@ class WeakComposition(tuple):
             raise ValueError(f"weak composition parts must be >= 0, got {parts}")
         return super().__new__(cls, parts)
 
-    @property
-    def weight(self) -> int:
-        return sum(self)
 
-    def __repr__(self) -> str:
-        return f"WeakComposition({tuple(self)})"
-
-
-class Partition(tuple):
+class Partition(_Parts):
     """Weakly decreasing sequence of positive integers.  May be empty."""
 
     def __new__(cls, parts) -> "Partition":
@@ -52,13 +49,6 @@ class Partition(tuple):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
         return super().__new__(cls, parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self)
-
-    def __repr__(self) -> str:
-        return f"Partition({tuple(self)})"
 
 
 def set_of_composition(alpha: Composition) -> frozenset[int]:

@@ -8,7 +8,7 @@ from operator import add
 from typing import Iterator
 
 from .combinatorics import Composition, WeakComposition, pad, set_of_composition
-from .polynomial import QT_ZERO, class_map, staircase
+from .polynomial import _accumulate, class_map, staircase
 from .quasisym import Expansion, fundamental_words
 from .schur import straighten
 
@@ -30,12 +30,7 @@ def elw_to_schur(e: Expansion) -> Expansion:
         normal = straighten(alpha)
         if normal.is_zero():
             continue
-        key = tuple(normal.shape)
-        new = terms.get(key, QT_ZERO) + coeff * normal.sign
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
+        _accumulate(terms, tuple(normal.shape), coeff * normal.sign)
     return Expansion("s", n, terms)
 
 
@@ -274,10 +269,7 @@ def verify_involution(alpha) -> VerificationReport:
     for word, gamma in zip(words, gammas):
         a = normals[gamma]
         if not a.is_zero():
-            key = tuple(a.shape)
-            signed_total[key] = signed_total.get(key, 0) + a.sign
-            if not signed_total[key]:
-                del signed_total[key]
+            _accumulate(signed_total, tuple(a.shape), a.sign)
         step = _exchange(alpha, strict, gamma)
         if step is None:
             report.fixed_points.append(word)

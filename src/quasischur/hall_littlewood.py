@@ -197,7 +197,10 @@ def _census(mu: Partition, max_n: int) -> Iterator[tuple[tuple[bool, ...], int, 
 
 
 def _mask_composition(mask: tuple[bool, ...], n: int) -> tuple[int, ...]:
-    """The composition of n whose descent set is {i + 1 : mask[i]}."""
+    """The composition of n whose descent set is {i + 1 : mask[i]}, and ()
+    for n = 0, the index of the degree-0 basis element."""
+    if not n:
+        return ()
     return tuple(composition_of_set({i + 1 for i, d in enumerate(mask) if d}, n))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping
 
 from .combinatorics import permutation_sign
@@ -36,10 +37,23 @@ def _json_ints(values) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _accumulate(out: dict, key, c) -> None:
+    """Add c into out[key], dropping the key when the sum is zero.
+
+    This is the one cancellation rule of the package: a sparse map never
+    stores a zero coefficient, and a sum drops every key that cancels.  The
+    coefficients may be ints or `QT`s."""
+    if key in out:
+        c = out[key] + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
 def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
     """Add a JSON coefficient [[qexp, texp, coeff], ...] into out, a map
-    (qexp, texp) -> nonzero int, checking each number once; a key whose sum
-    cancels is dropped."""
+    (qexp, texp) -> nonzero int, checking each number once."""
     if type(triples) is not list:
         _json_list(triples)
     for qe, te, c in triples:
@@ -49,11 +63,11 @@ def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
         if qe < 0 or te < 0:
             raise ValueError("negative q/t exponent")
         key = (qe, te)
-        c += out.get(key, 0)
-        if c:
+        # a document's keys are mostly new, and a new key cannot cancel
+        if key in out:
+            _accumulate(out, key, c)
+        elif c:
             out[key] = c
-        else:
-            out.pop(key, None)
 
 
 def _json_terms(entries, field: str) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
@@ -72,10 +86,110 @@ def _json_terms(entries, field: str) -> dict[tuple[int, ...], dict[tuple[int, in
     return sums
 
 
-class QT:
-    """Element of Z[q,t] stored as a sparse map (q-exp, t-exp) -> nonzero int."""
+def _factor(coeff) -> str:
+    """The text of a coefficient as a factor of a product, in parentheses
+    when it is a sum."""
+    text = str(coeff)
+    return f"({text})" if "+" in text else text
+
+
+class _SparseMap:
+    """A sparse map from keys to nonzero coefficients, treated as immutable:
+    the one store and arithmetic of `QT`, `SparsePoly` and `Expansion`.
+
+    A subclass's own __slots__ name the attributes that fix its space: the
+    variable count, or the basis and degree.  Two operands of +, - and the
+    product must agree on them, and maps in different spaces are unequal.
+    Each subclass checks its keys in its constructor; every result built
+    here comes from maps already checked, so it is taken without a check.
+    A subclass prints through its sorted_terms and _str_term.
+    """
 
     __slots__ = ("_terms",)
+
+    def _wrap(self, terms: dict) -> "_SparseMap":
+        """A map of the same class and space as self over terms, a dict
+        already free of zero coefficients, taken without copying."""
+        result = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(result, name, getattr(self, name))
+        result._terms = terms
+        return result
+
+    def _operand(self, other):
+        """other read as a map of this class, or None when it is not one."""
+        return other if isinstance(other, type(self)) else None
+
+    def _same_space(self, other) -> bool:
+        """Whether other agrees with self on every attribute of the space."""
+        for name in self.__slots__:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def _compatible(self, other):
+        """other read as a map of this class in the same space as self, or
+        None when it is not a map of this class."""
+        other = self._operand(other)
+        if other is not None and not self._same_space(other):
+            names = "/".join(self.__slots__)
+            raise ValueError(f"cannot combine {type(self).__name__}s of different {names}")
+        return other
+
+    def terms(self):
+        return self._terms.items()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._same_space(other) and self._terms == other._terms
+
+    def __add__(self, other):
+        other = self._compatible(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            _accumulate(out, key, c)
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _product(self, other):
+        """The product of two maps keyed by exponent vectors: the keys add
+        entrywise and the coefficients multiply."""
+        other = self._compatible(other)
+        if other is None:
+            return NotImplemented
+        out: dict = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        return self._wrap(out)
+
+    def __str__(self) -> str:
+        return " + ".join(map(self._str_term, self.sorted_terms())) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class QT(_SparseMap):
+    """Element of Z[q,t] stored as a sparse map (q-exp, t-exp) -> nonzero int.
+    An int operand of +, -, * and == is read as a constant."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         cleaned = {}
@@ -88,14 +202,6 @@ class QT:
         self._terms = cleaned
 
     @classmethod
-    def _wrap(cls, terms: dict[tuple[int, int], int]) -> "QT":
-        """A QT over a map already free of zero coefficients and negative
-        exponents, taken without copying."""
-        result = cls.__new__(cls)
-        result._terms = terms
-        return result
-
-    @classmethod
     def integer(cls, n: int) -> "QT":
         return cls({(0, 0): n})
 
@@ -103,90 +209,46 @@ class QT:
     def term(cls, coeff: int, qexp: int = 0, texp: int = 0) -> "QT":
         return cls({(qexp, texp): coeff})
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def _operand(self, other):
+        if isinstance(other, int):
+            return QT.integer(other)
+        return other if isinstance(other, QT) else None
 
     def is_q_free(self) -> bool:
         return all(qe == 0 for qe, _ in self._terms)
 
-    def items(self):
-        return self._terms.items()
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QT.integer(other)
-        if not isinstance(other, QT):
-            return NotImplemented
-        return self._terms == other._terms
+    items = _SparseMap.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "QT") -> "QT":
-        if isinstance(other, int):
-            other = QT.integer(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return QT._wrap(out)
+    __mul__ = __rmul__ = _SparseMap._product
 
-    def __neg__(self) -> "QT":
-        return QT._wrap({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: "QT") -> "QT":
-        return self + (-other)
-
-    def __mul__(self, other) -> "QT":
-        if isinstance(other, int):
-            other = QT.integer(other)
-        out: dict[tuple[int, int], int] = {}
-        for (q1, t1), c1 in self._terms.items():
-            for (q2, t2), c2 in other._terms.items():
-                key = (q1 + q2, t1 + t2)
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return QT._wrap(out)
-
-    __rmul__ = __mul__
+    def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
+        return sorted(self._terms.items())
 
     def triples(self) -> list[list[int]]:
         """Serialized form: [[qexp, texp, coeff], ...] sorted by (qexp, texp)."""
-        return [[qe, te, c] for (qe, te), c in sorted(self._terms.items())]
+        return [[qe, te, c] for (qe, te), c in self.sorted_terms()]
 
     @classmethod
     def from_triples(cls, triples: Iterable[Iterable[int]]) -> "QT":
         """Read the serialized form; equal (qexp, texp) pairs are added."""
         out: dict[tuple[int, int], int] = {}
         _add_triples(out, triples)
-        return cls._wrap(out)
+        return QT_ZERO._wrap(out)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for (qe, te), c in sorted(self._terms.items()):
-            factors = []
-            if c != 1 or (qe == 0 and te == 0):
-                factors.append(str(c))
-            if qe:
-                factors.append("q" if qe == 1 else f"q^{qe}")
-            if te:
-                factors.append("t" if te == 1 else f"t^{te}")
-            pieces.append("*".join(factors))
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"QT({self})"
+    @staticmethod
+    def _str_term(term) -> str:
+        (qe, te), c = term
+        factors = []
+        if c != 1 or (qe == 0 and te == 0):
+            factors.append(str(c))
+        if qe:
+            factors.append("q" if qe == 1 else f"q^{qe}")
+        if te:
+            factors.append("t" if te == 1 else f"t^{te}")
+        return "*".join(factors)
 
 
 QT_ZERO = QT()
@@ -203,13 +265,13 @@ def _as_qt(value) -> QT:
     raise TypeError(f"cannot use {type(value).__name__} as a Z[q,t] coefficient")
 
 
-class SparsePoly:
+class SparsePoly(_SparseMap):
     """Polynomial in x_1..x_N with Z[q,t] coefficients, stored sparsely.
 
     Treated as immutable; all operations return new values.
     """
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], QT] | None = None):
         if nvars < 0:
@@ -247,57 +309,10 @@ class SparsePoly:
         exps[index - 1] = 1
         return cls.monomial(nvars, exps)
 
-    def terms(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
-    def _check_compatible(self, other: "SparsePoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(
-                f"ambient dimension mismatch: {self.nvars} vs {other.nvars}"
-            )
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_compatible(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = out.get(exps, QT_ZERO) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return self._wrap(out)
-
-    def __neg__(self) -> "SparsePoly":
-        return self._wrap({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (QT, int)):
             return self.scalar_mul(other)
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], QT] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, QT_ZERO) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return self._wrap(out)
+        return self._product(other)
 
     __rmul__ = __mul__
 
@@ -306,12 +321,6 @@ class SparsePoly:
         if not scalar:
             return SparsePoly.zero(self.nvars)
         return self._wrap({e: c * scalar for e, c in self._terms.items()})
-
-    def _wrap(self, terms: dict[tuple[int, ...], QT]) -> "SparsePoly":
-        result = SparsePoly.__new__(SparsePoly)
-        result.nvars = self.nvars
-        result._terms = terms
-        return result
 
     def degree(self) -> int:
         """Total degree in the x variables; zero polynomial has degree 0."""
@@ -345,24 +354,19 @@ class SparsePoly:
                 )
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly._terms = {exps: QT._wrap(acc) for exps, acc in sums.items() if acc}
+        poly._terms = {exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc}
         return poly
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            c = str(coeff)
-            if "+" in c:
-                c = f"({c})"
-            pieces.append(f"{c}*{mono}" if mono else c)
-        return " + ".join(pieces)
+    @staticmethod
+    def _str_term(term) -> str:
+        exps, coeff = term
+        mono = "*".join(
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+            for i, e in enumerate(exps)
+            if e
+        )
+        c = _factor(coeff)
+        return f"{c}*{mono}" if mono else c
 
     def __repr__(self) -> str:
         return f"SparsePoly({self.nvars}, {self})"
@@ -394,13 +398,7 @@ def class_map(terms) -> dict[tuple[int, ...], object]:
         if len(set(exps)) != len(exps):
             continue
         key, sign = _sort_sign(exps)
-        total = coeff * sign
-        if key in classes:
-            total = classes[key] + total
-        if total:
-            classes[key] = total
-        else:
-            classes.pop(key, None)
+        _accumulate(classes, key, coeff * sign)
     return classes
 
 

@@ -13,19 +13,28 @@ from .combinatorics import (
     compositions_of,
     set_of_composition,
 )
-from .polynomial import QT, QT_ZERO, SparsePoly, _as_qt, _json_int, _json_terms
+from .polynomial import (
+    QT,
+    QT_ZERO,
+    SparsePoly,
+    _as_qt,
+    _factor,
+    _json_int,
+    _json_terms,
+    _SparseMap,
+)
 
 BASES = ("F", "M", "s")
 
 
-class Expansion:
+class Expansion(_SparseMap):
     """Homogeneous linear combination over a named basis.
 
     Indices are compositions for the F and M bases and partitions for the
     s basis; coefficients live in Z[q,t].
     """
 
-    __slots__ = ("basis", "degree", "_terms")
+    __slots__ = ("basis", "degree")
 
     def __init__(self, basis: str, degree: int, terms: Mapping | None = None):
         if basis not in BASES:
@@ -57,46 +66,8 @@ class Expansion:
             )
         return index
 
-    def terms(self):
-        return self._terms.items()
-
     def coefficient(self, index) -> QT:
         return self._terms.get(tuple(index), QT_ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Expansion):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: "Expansion") -> "Expansion":
-        if self.basis != other.basis or self.degree != other.degree:
-            raise ValueError("cannot add expansions over different bases/degrees")
-        out = dict(self._terms)
-        for index, coeff in other._terms.items():
-            new = out.get(index, QT_ZERO) + coeff
-            if new:
-                out[index] = new
-            else:
-                out.pop(index, None)
-        return Expansion(self.basis, self.degree, out)
-
-    def __neg__(self) -> "Expansion":
-        return Expansion(
-            self.basis, self.degree, {i: -c for i, c in self._terms.items()}
-        )
-
-    def __sub__(self, other: "Expansion") -> "Expansion":
-        return self + (-other)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], QT]]:
         return sorted(self._terms.items())
@@ -122,24 +93,13 @@ class Expansion:
         for index, acc in sums.items():
             index = result._normalize_index(index)
             if acc:
-                terms[index] = QT._wrap(acc)
+                terms[index] = QT_ZERO._wrap(acc)
         result._terms = terms
         return result
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for index, coeff in self.sorted_terms():
-            c = str(coeff)
-            if "+" in c:
-                c = f"({c})"
-            body = ",".join(str(i) for i in index)
-            pieces.append(f"{c}*{self.basis}[{body}]")
-        return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"Expansion({self})"
+    def _str_term(self, term) -> str:
+        index, coeff = term
+        return f"{_factor(coeff)}*{self.basis}[{','.join(map(str, index))}]"
 
 
 def fundamental_words(alpha, nvars: int) -> Iterator[tuple[int, ...]]:

@@ -514,6 +514,12 @@ class TestHll:
         code, _, _ = run_cli(capsys, "hll", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--text"], ["--experiment"]])
+    def test_empty_shape_is_a_usage_error(self, capsys, flags):
+        # the library computes H~ of the empty shape; the argument has no
+        # spelling for it
+        assert run_cli(capsys, "hll", "", *flags)[:2] == (2, "")
+
     @pytest.mark.parametrize(
         "flags", [["--experiment", "--text"], ["--text", "--experiment"]], ids=["ex-text", "text-ex"]
     )
@@ -578,6 +584,26 @@ class TestRecordedDigests:
             if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
                 changed.append(argv)
         assert not changed
+
+    def test_document_commands_match_recorded_exit_and_sha256(self, capsys, monkeypatch):
+        # fundamental on every composition of weight <= 5 in weight and
+        # weight + 1 variables, fexpand on each of those outputs, toschur on
+        # each F-expansion (--verify-symmetric exits 3 on a non-symmetric
+        # F_alpha), and straighten on {0..3}^3, as recorded before the three
+        # sparse containers shared one implementation of their arithmetic;
+        # the stored documents are the recorded outputs
+        data = Path(__file__).parent / "data"
+        recorded = json.loads((data / "cli_document_digests.json").read_text())["runs"]
+        monkeypatch.chdir(data)
+        changed = []
+        for argv, want in recorded.items():
+            code = main(argv.split())
+            out = capsys.readouterr().out
+            got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            if got != want:
+                changed.append(argv)
+        assert not changed
+        assert {want["exit"] for want in recorded.values()} == {0, 3}
 
 
 class TestEarlyStdoutClose:

@@ -382,6 +382,22 @@ class TestSymmetry:
             assert symmetry_check(mu)
 
 
+class TestEmptyShape:
+    # the empty shape has one filling, the empty word, and H~ = 1 = s[]
+    def test_expansions(self):
+        assert hl_fundamental_expansion(()) == Expansion("F", 0, {(): 1})
+        assert hll_expansion(()) == Expansion("s", 0, {(): 1})
+        assert hll_expansion(()) == cocharge_expansion(())
+        assert symmetry_check(())
+
+    def test_experiment(self):
+        report = leftover_experiment(())
+        assert (report.filling_count, report.plus_count, report.kept_count) == (1, 1, 1)
+        assert report.zero_count == report.minus_count == 0
+        assert report.conjectured == report.true_expansion == Expansion("s", 0, {(): 1})
+        assert report.discrepancy.is_zero()
+
+
 class TestLeftoverExperiment:
     def test_column_keeps_both(self):
         report = leftover_experiment((1, 1))

@@ -1,3 +1,4 @@
+import operator
 from itertools import combinations, permutations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasischur.combinatorics import permutation_sign
 from quasischur.polynomial import QT, QT_ONE, Q, T, SparsePoly, class_map, staircase
+from quasischur.quasisym import Expansion
 from quasischur.schur import schur_ssyt
 
 from oracles import antisymmetrize, is_symmetric, swap_variables
@@ -158,3 +160,65 @@ class TestSymmetric:
                     continue
                 lifted = f * SparsePoly.monomial(n, staircase(n))
                 assert antisymmetrize(lifted) == f * vandermonde
+
+
+# one element of each sparse container, a second element of the same space
+# that cancels exactly one of its keys, and elements of the same class in
+# other spaces
+SPARSE_MAPS = {
+    "QT": (QT_ONE + Q - T * T, T * T + Q, []),
+    "SparsePoly": (
+        SparsePoly(2, {(1, 0): Q, (0, 2): QT_ONE - T}),
+        SparsePoly(2, {(0, 2): T - QT_ONE, (1, 1): T}),
+        [SparsePoly(3, {(1, 0, 0): Q})],
+    ),
+    "Expansion": (
+        Expansion("F", 3, {(2, 1): Q, (1, 1, 1): QT_ONE - T}),
+        Expansion("F", 3, {(1, 1, 1): T - QT_ONE, (3,): T}),
+        [Expansion("M", 3, {(2, 1): Q}), Expansion("F", 2, {(2,): Q})],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_MAPS)
+class TestSharedSparseMap:
+    def test_sums_drop_every_cancelled_key(self, name):
+        a, b, _ = SPARSE_MAPS[name]
+        assert (a + (-a)).is_zero() and (a - a).is_zero() and not (a - a)
+        total = a + b
+        keys = {key for key, _ in a.terms()} | {key for key, _ in b.terms()}
+        assert len(total.terms()) == len(keys) - 1
+        for value in (total, a - (-b), -total, a + b - b):
+            assert all(coeff for _, coeff in value.terms())
+        assert a + b - b == a
+
+    def test_other_spaces_are_refused_and_unequal(self, name):
+        a, _, others = SPARSE_MAPS[name]
+        for other in others:
+            assert a != other and other != a
+            ops = [operator.add, operator.sub]
+            if name == "SparsePoly":
+                ops.append(operator.mul)
+            for op in ops:
+                for left, right in ((a, other), (other, a)):
+                    with pytest.raises(ValueError):
+                        op(left, right)
+
+    def test_int_operands(self, name):
+        a, _, _ = SPARSE_MAPS[name]
+        if name != "QT":
+            with pytest.raises(TypeError):
+                a + 1
+            assert a != 0
+            return
+        assert a + 1 == QT.integer(2) + Q - T * T and a - 1 == Q - T * T
+        assert 2 * a == a * 2 == a + a and a * 0 == 0 and 0 * a == QT()
+        assert QT.integer(3) == 3 and 3 == QT.integer(3) and QT() == 0
+
+    def test_hashable_exactly_for_qt(self, name):
+        a, _, _ = SPARSE_MAPS[name]
+        if name == "QT":
+            assert {a: 1}[QT_ONE + Q - T * T] == 1
+        else:
+            with pytest.raises(TypeError):
+                hash(a)

@@ -316,7 +316,7 @@ def is_schur_positive(e: Expansion) -> bool:
     for _, coeff in e.terms():
         if not coeff.is_q_free():
             return False
-        for (_, _), c in coeff.items():
+        for (_, _), c in coeff.terms():
             if c < 0:
                 return False
     return True

@@ -62,12 +62,7 @@ def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
                 _json_int(value)
         if qe < 0 or te < 0:
             raise ValueError("negative q/t exponent")
-        key = (qe, te)
-        # a document's keys are mostly new, and a new key cannot cancel
-        if key in out:
-            _accumulate(out, key, c)
-        elif c:
-            out[key] = c
+        _accumulate(out, (qe, te), c)
 
 
 def _json_terms(entries, field: str) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
@@ -97,21 +92,23 @@ class _SparseMap:
     """A sparse map from keys to nonzero coefficients, treated as immutable:
     the one store and arithmetic of `QT`, `SparsePoly` and `Expansion`.
 
-    A subclass's own __slots__ name the attributes that fix its space: the
+    A subclass's _SPACE names the attributes that fix its space: the
     variable count, or the basis and degree.  Two operands of +, - and the
-    product must agree on them, and maps in different spaces are unequal.
+    product must agree on them, maps in different spaces are unequal, and a
+    result built here copies them, and no other attribute, from self.
     Each subclass checks its keys in its constructor; every result built
     here comes from maps already checked, so it is taken without a check.
     A subclass prints through its sorted_terms and _str_term.
     """
 
     __slots__ = ("_terms",)
+    _SPACE: tuple[str, ...] = ()
 
     def _wrap(self, terms: dict) -> "_SparseMap":
         """A map of the same class and space as self over terms, a dict
         already free of zero coefficients, taken without copying."""
         result = object.__new__(type(self))
-        for name in self.__slots__:
+        for name in self._SPACE:
             setattr(result, name, getattr(self, name))
         result._terms = terms
         return result
@@ -121,8 +118,8 @@ class _SparseMap:
         return other if isinstance(other, type(self)) else None
 
     def _same_space(self, other) -> bool:
-        """Whether other agrees with self on every attribute of the space."""
-        for name in self.__slots__:
+        """Whether other agrees with self on every attribute named by _SPACE."""
+        for name in self._SPACE:
             if getattr(self, name) != getattr(other, name):
                 return False
         return True
@@ -132,7 +129,7 @@ class _SparseMap:
         None when it is not a map of this class."""
         other = self._operand(other)
         if other is not None and not self._same_space(other):
-            names = "/".join(self.__slots__)
+            names = "/".join(self._SPACE)
             raise ValueError(f"cannot combine {type(self).__name__}s of different {names}")
         return other
 
@@ -217,8 +214,6 @@ class QT(_SparseMap):
     def is_q_free(self) -> bool:
         return all(qe == 0 for qe, _ in self._terms)
 
-    items = _SparseMap.terms
-
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
@@ -272,6 +267,7 @@ class SparsePoly(_SparseMap):
     """
 
     __slots__ = ("nvars",)
+    _SPACE = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], QT] | None = None):
         if nvars < 0:

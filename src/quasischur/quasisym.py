@@ -35,6 +35,7 @@ class Expansion(_SparseMap):
     """
 
     __slots__ = ("basis", "degree")
+    _SPACE = ("basis", "degree")
 
     def __init__(self, basis: str, degree: int, terms: Mapping | None = None):
         if basis not in BASES:

@@ -319,7 +319,7 @@ class TestExpansions:
                 specialized = {}
                 for index, coeff in full.terms():
                     q_free = QT(
-                        {(qe, te): c for (qe, te), c in coeff.items() if qe == 0}
+                        {(qe, te): c for (qe, te), c in coeff.terms() if qe == 0}
                     )
                     if q_free:
                         specialized[index] = q_free

@@ -24,10 +24,8 @@ from .elw import (
     verify_involution,
 )
 from .hall_littlewood import (
-    DEFAULT_MAX_N,
     ExperimentReport,
     Filling,
-    SizeBoundError,
     hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
@@ -66,10 +64,8 @@ __all__ = [
     "elw_to_schur",
     "involution",
     "verify_involution",
-    "DEFAULT_MAX_N",
     "ExperimentReport",
     "Filling",
-    "SizeBoundError",
     "hl_fundamental_expansion",
     "hll_expansion",
     "inv_zero_fillings",

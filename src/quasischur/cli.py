@@ -11,15 +11,9 @@ import json
 import os
 import sys
 
-from .combinatorics import Composition, Partition, partitions_of
+from .combinatorics import Composition, Partition, WeakComposition, partitions_of
 from .elw import elw_to_schur, verify_involution
-from .hall_littlewood import (
-    DEFAULT_MAX_N,
-    SizeBoundError,
-    hll_expansion,
-    is_schur_positive,
-    leftover_experiment,
-)
+from .hall_littlewood import hll_expansion, is_schur_positive, leftover_experiment
 from .quasisym import (
     Expansion,
     extract_f_expansion,
@@ -30,6 +24,7 @@ from .polynomial import SparsePoly
 from .schur import straighten
 
 ENV_MAX_N = "QUASISCHUR_MAX_N"
+DEFAULT_MAX_N = 9
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,15 +44,23 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise CliError(f"expected comma-separated integers, got {text!r}")
 
 
-def _parse_partition(text: str) -> Partition:
+def _parse(text: str, kind):
+    """The comma-separated integers of text as a kind: WeakComposition,
+    Composition or Partition."""
     try:
-        return Partition(_parse_ints(text))
+        return kind(_parse_ints(text))
     except ValueError as exc:
         raise CliError(str(exc))
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"), sort_keys=False)
+def _emit(result, text: bool) -> None:
+    """Print result as text, or its compact JSON: result is a JSON document
+    itself or has a to_json_dict."""
+    if text:
+        print(result)
+    else:
+        doc = result if isinstance(result, dict) else result.to_json_dict()
+        print(json.dumps(doc, separators=(",", ":")))
 
 
 def _read_document(path: str, parse, kind: str):
@@ -74,43 +77,27 @@ def _read_document(path: str, parse, kind: str):
         raise CliError(f"cannot read {kind} document: {exc}")
 
 
-def _resolve_max_n(args) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get(ENV_MAX_N)
-    if env is not None:
+def _within_bound(args, what: str, size: int) -> None:
+    """Refuse a size over the bound, before any work on it: --max-n, else
+    the environment variable, else DEFAULT_MAX_N."""
+    max_n = args.max_n
+    if max_n is None:
+        env = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N))
         try:
-            return int(env)
+            max_n = int(env)
         except ValueError:
             raise CliError(f"{ENV_MAX_N} must be an integer, got {env!r}")
-    return DEFAULT_MAX_N
-
-
-def _within_bound(args, what: str, size: int) -> int:
-    """The size bound, once size is known not to exceed it."""
-    max_n = _resolve_max_n(args)
     if size > max_n:
         raise CliError(f"{what} {size} exceeds bound {max_n}")
-    return max_n
 
 
 def cmd_straighten(args) -> int:
-    gamma = _parse_ints(args.gamma)
-    if any(g < 0 for g in gamma):
-        raise CliError("weak composition parts must be non-negative")
-    result = straighten(gamma)
-    if args.json:
-        print(_dump_json(result.to_json_dict()))
-    else:
-        print(result)
+    _emit(straighten(_parse(args.gamma, WeakComposition)), text=not args.json)
     return EXIT_OK
 
 
 def cmd_fundamental(args) -> int:
-    try:
-        alpha = Composition(_parse_ints(args.alpha))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    alpha = _parse(args.alpha, Composition)
     nvars = alpha.weight if args.vars is None else args.vars
     # the output has C(nvars - len(alpha) + weight, weight) monomials
     _within_bound(args, "weight", alpha.weight)
@@ -119,10 +106,7 @@ def cmd_fundamental(args) -> int:
         poly = fundamental(alpha, nvars)
     except ValueError as exc:
         raise CliError(str(exc))
-    if args.text:
-        print(poly)
-    else:
-        print(_dump_json(poly.to_json_dict()))
+    _emit(poly, args.text)
     return EXIT_OK
 
 
@@ -133,10 +117,7 @@ def cmd_fexpand(args) -> int:
         expansion = extract_f_expansion(poly)
     except ValueError as exc:
         raise CliError(str(exc))
-    if args.text:
-        print(expansion)
-    else:
-        print(_dump_json(expansion.to_json_dict()))
+    _emit(expansion, args.text)
     return EXIT_OK
 
 
@@ -149,54 +130,39 @@ def cmd_toschur(args) -> int:
         _within_bound(args, "degree", expansion.degree)
         if not is_symmetric_expansion(expansion):
             raise CliError("input is not symmetric", code=EXIT_VERIFY)
-    result = elw_to_schur(expansion)
-    if args.text:
-        print(result)
-    else:
-        print(_dump_json(result.to_json_dict()))
+    _emit(elw_to_schur(expansion), args.text)
     return EXIT_OK
 
 
 def cmd_verify_involution(args) -> int:
-    alpha = _parse_ints(args.alpha)
-    if any(a < 1 for a in alpha):
-        raise CliError("composition parts must be positive")
-    _within_bound(args, "weight", sum(alpha))
+    alpha = _parse(args.alpha, Composition)
+    _within_bound(args, "weight", alpha.weight)
     report = verify_involution(alpha)
-    print(_dump_json(report.to_json_dict()))
+    _emit(report, False)
     return EXIT_OK if report.passed() else EXIT_VERIFY
 
 
 def cmd_hll(args) -> int:
-    mu = _parse_partition(args.mu)
-    max_n = _resolve_max_n(args)
-    try:
-        if args.experiment:
-            report = leftover_experiment(mu, max_n=max_n)
-            print(_dump_json(report.to_json_dict()))
-        else:
-            expansion = hll_expansion(mu, max_n=max_n)
-            if args.text:
-                print(expansion)
-            else:
-                print(_dump_json(expansion.to_json_dict()))
-    except SizeBoundError as exc:
-        raise CliError(str(exc))
+    mu = _parse(args.mu, Partition)
+    _within_bound(args, "weight", mu.weight)
+    if args.experiment:
+        _emit(leftover_experiment(mu), False)
+    else:
+        _emit(hll_expansion(mu), args.text)
     return EXIT_OK
 
 
 def cmd_positivity(args) -> int:
     if args.n < 1:
         raise CliError(f"weight must be positive, got {args.n}")
-    max_n = _within_bound(args, "weight", args.n)
+    _within_bound(args, "weight", args.n)
     results = []
     all_positive = True
     for mu in partitions_of(args.n):
-        expansion = hll_expansion(mu, max_n=max_n)
-        positive = is_schur_positive(expansion)
+        positive = is_schur_positive(hll_expansion(mu))
         all_positive = all_positive and positive
         results.append({"mu": list(mu), "positive": positive})
-    print(_dump_json({"n": args.n, "shapes": results, "all_positive": all_positive}))
+    _emit({"n": args.n, "shapes": results, "all_positive": all_positive}, False)
     return EXIT_OK if all_positive else EXIT_VERIFY
 
 

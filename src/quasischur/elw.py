@@ -9,7 +9,7 @@ from typing import Iterator
 
 from .combinatorics import Composition, WeakComposition, pad, set_of_composition
 from .polynomial import _accumulate, class_map, staircase
-from .quasisym import Expansion, fundamental_words
+from .quasisym import Expansion, _exponents, fundamental_words
 from .schur import straighten
 
 
@@ -44,11 +44,12 @@ class ConstrainedMonomial:
 
     @property
     def gamma(self) -> WeakComposition:
-        return WeakComposition(_exponents(self.word))
+        return WeakComposition(_exponents(self.word, len(self.word)))
 
     @property
     def full_exponent(self) -> tuple[int, ...]:
-        return tuple(map(add, _exponents(self.word), staircase(len(self.word))))
+        n = len(self.word)
+        return tuple(map(add, _exponents(self.word, n), staircase(n)))
 
 
 class FixedPoint:
@@ -77,14 +78,6 @@ def constrained_monomials(alpha) -> Iterator[ConstrainedMonomial]:
     alpha = Composition(alpha)
     for word in fundamental_words(alpha, alpha.weight):
         yield ConstrainedMonomial(alpha, word)
-
-
-def _exponents(word) -> tuple[int, ...]:
-    """The exponent vector of a word in the letters 1..len(word)."""
-    counts = [0] * len(word)
-    for a in word:
-        counts[a - 1] += 1
-    return tuple(counts)
 
 
 def _word_from_gamma(gamma) -> tuple[int, ...]:
@@ -159,7 +152,7 @@ def _checked_exponents(u: ConstrainedMonomial) -> tuple[frozenset[int], tuple[in
             f"{n} weakly increasing letters in 1..{n}, rising strictly at "
             f"{sorted(strict)}"
         )
-    return strict, _exponents(word)
+    return strict, _exponents(word, n)
 
 
 def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
@@ -258,7 +251,7 @@ def verify_involution(alpha) -> VerificationReport:
     report = VerificationReport(alpha=alpha)
     words = [u.word for u in constrained_monomials(alpha)]
     report.monomial_count = len(words)
-    gammas = [_exponents(word) for word in words]
+    gammas = [_exponents(word, n) for word in words]
     alpha_padded = tuple(pad(alpha, n))
 
     normals = {gamma: straighten(gamma) for gamma in gammas}
@@ -301,7 +294,7 @@ def verify_involution(alpha) -> VerificationReport:
     report.self_cancelling = sum(1 for pair in seen_pairs if len(pair) == 1)
     report.unique_fixed_point = (
         len(report.fixed_points) == 1
-        and _exponents(report.fixed_points[0]) == alpha_padded
+        and _exponents(report.fixed_points[0], n) == alpha_padded
     )
     report.sign_reversing = sign_ok
 

@@ -22,21 +22,6 @@ from .polynomial import QT
 from .quasisym import Expansion, is_symmetric_expansion
 from .schur import straighten
 
-DEFAULT_MAX_N = 9
-
-
-class SizeBoundError(ValueError):
-    """Raised when an enumeration would exceed the configured size bound."""
-
-
-def _check_bound(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise SizeBoundError(
-            f"weight {n} exceeds the configured bound {max_n}; raise the bound "
-            "explicitly to run larger enumerations"
-        )
-
-
 @dataclass(frozen=True)
 class Filling:
     """Bijective filling of the French Ferrers diagram of a partition.
@@ -79,14 +64,10 @@ class Filling:
         )
 
 
-def _word_maj(word) -> int:
-    return sum(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
-
-
 def maj_stat(f: Filling) -> int:
     """Sum over columns of the major index of the top-to-bottom column word."""
     width = f.shape[0] if f.shape else 0
-    return sum(_word_maj(f.column(j)) for j in range(1, width + 1))
+    return sum(sum(descent_set(f.column(j))) for j in range(1, width + 1))
 
 
 def pides(sigma) -> Composition:
@@ -107,7 +88,7 @@ def _force_row(row_below: tuple[int, ...], entries: Iterable[int]) -> tuple[int,
     return tuple(row)
 
 
-def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[int, ...]]:
+def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     """The reading word of one inversion-free filling per ordered set
     decomposition of {1..n}: a plain tuple listing the rows top to bottom,
     each left to right, as Filling.reading_word does.
@@ -127,7 +108,6 @@ def inv_zero_fillings(mu, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[int, ...
     order in which the words are yielded is not part of this contract.
     """
     mu = Partition(mu)
-    _check_bound(mu.weight, max_n)
     values = list(range(1, mu.weight + 1))
     # rows from index tail on have one cell
     tail = next((i for i, part in enumerate(mu) if part == 1), len(mu))
@@ -167,7 +147,7 @@ def _picker(positions: list[int]):
     return lambda word: tuple(word[p] for p in positions)
 
 
-def _census(mu: Partition, max_n: int) -> Iterator[tuple[tuple[bool, ...], int, tuple]]:
+def _census(mu: Partition) -> Iterator[tuple[tuple[bool, ...], int, tuple]]:
     """(mask, maj, word) for each reading word of inv_zero_fillings(mu), the
     one reading of the filling statistics behind every expansion here.
 
@@ -188,7 +168,7 @@ def _census(mu: Partition, max_n: int) -> Iterator[tuple[tuple[bool, ...], int, 
             weights.append(sum(1 for part in mu if part > j) - r - 1)
     up, down = _picker(ups), _picker(downs)
     positions = range(mu.weight)
-    for word in inv_zero_fillings(mu, max_n=max_n):
+    for word in inv_zero_fillings(mu):
         # where[v - 1] is the position of v in word; i is a descent of
         # word^-1 exactly when i sits after i + 1
         where = sorted(positions, key=word.__getitem__)
@@ -204,7 +184,7 @@ def _mask_composition(mask: tuple[bool, ...], n: int) -> tuple[int, ...]:
     return tuple(composition_of_set({i + 1 for i, d in enumerate(mask) if d}, n))
 
 
-def hl_fundamental_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
+def hl_fundamental_expansion(mu) -> Expansion:
     """F-expansion of the modified Hall-Littlewood polynomial: the q = 0
     specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
 
@@ -214,22 +194,22 @@ def hl_fundamental_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
     mu = Partition(mu)
     n = mu.weight
     census: dict = defaultdict(Counter)  # mask -> maj -> filling count
-    for mask, maj, _ in _census(mu, max_n):
+    for mask, maj, _ in _census(mu):
         census[mask][maj] += 1
     terms = {_mask_composition(mask, n): _t_polynomial(majs) for mask, majs in census.items()}
     return Expansion("F", n, terms)
 
 
-def hll_expansion(mu, max_n: int = DEFAULT_MAX_N) -> Expansion:
+def hll_expansion(mu) -> Expansion:
     """Schur expansion of the modified Hall-Littlewood polynomial, obtained by
     the F-to-s replacement applied to the inversion-free filling sum."""
-    return elw_to_schur(hl_fundamental_expansion(mu, max_n=max_n))
+    return elw_to_schur(hl_fundamental_expansion(mu))
 
 
-def symmetry_check(mu, max_n: int = DEFAULT_MAX_N) -> bool:
+def symmetry_check(mu) -> bool:
     """Whether the inversion-free filling sum is symmetric in n variables
     (coefficientwise in t, so per t-degree)."""
-    return is_symmetric_expansion(hl_fundamental_expansion(mu, max_n=max_n))
+    return is_symmetric_expansion(hl_fundamental_expansion(mu))
 
 
 @dataclass
@@ -260,7 +240,7 @@ class ExperimentReport:
         }
 
 
-def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
+def leftover_experiment(mu) -> ExperimentReport:
     """Classify each inversion-free filling by the sign of its straightened
     descent-composition Schur value, keep the plus-class fillings whose
     Schensted shape matches the straightened shape, and compare the resulting
@@ -275,7 +255,7 @@ def leftover_experiment(mu, max_n: int = DEFAULT_MAX_N) -> ExperimentReport:
     # mask -> (pides, straightened Schur value, maj -> filling count,
     # maj -> kept filling count, or None off the plus class)
     by_mask: dict[tuple[bool, ...], tuple] = {}
-    for mask, maj, sigma in _census(mu, max_n):
+    for mask, maj, sigma in _census(mu):
         entry = by_mask.get(mask)
         if entry is None:
             index = _mask_composition(mask, n)

@@ -192,10 +192,16 @@ class QT(_SparseMap):
         cleaned = {}
         if terms:
             for (qe, te), c in terms.items():
+                if type(qe) is not int or type(te) is not int or type(c) is not int:
+                    if not (isinstance(qe, int) and isinstance(te, int) and isinstance(c, int)):
+                        raise TypeError(
+                            f"expected integer exponents and coefficient, got {(qe, te)!r}: {c!r}"
+                        )
+                    c = int(c)  # a bool coefficient is read as 0 or 1
                 if qe < 0 or te < 0:
                     raise ValueError("negative q/t exponent")
                 if c:
-                    cleaned[(qe, te)] = int(c)
+                    cleaned[(qe, te)] = c
         self._terms = cleaned
 
     @classmethod
@@ -218,6 +224,10 @@ class QT(_SparseMap):
         return hash(frozenset(self._terms.items()))
 
     __mul__ = __rmul__ = _SparseMap._product
+    __radd__ = _SparseMap.__add__
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self._terms.items())
@@ -260,6 +270,15 @@ def _as_qt(value) -> QT:
     raise TypeError(f"cannot use {type(value).__name__} as a Z[q,t] coefficient")
 
 
+def _check_exponent_vector(exps: tuple[int, ...], nvars: int) -> None:
+    """Refuse an integer exponent vector of the wrong length or with a
+    negative entry."""
+    if len(exps) != nvars:
+        raise ValueError(f"exponent vector {exps} does not match {nvars} variables")
+    if exps and min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+
+
 class SparsePoly(_SparseMap):
     """Polynomial in x_1..x_N with Z[q,t] coefficients, stored sparsely.
 
@@ -277,10 +296,10 @@ class SparsePoly(_SparseMap):
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars:
-                    raise ValueError(
-                        f"exponent vector {exps} does not match {nvars} variables"
-                    )
+                if not _INT_ONLY.issuperset(map(type, exps)):
+                    if not all(isinstance(e, int) for e in exps):
+                        raise TypeError(f"exponents must be integers, got {exps}")
+                _check_exponent_vector(exps, nvars)
                 coeff = _as_qt(coeff)
                 if coeff:
                     cleaned[exps] = coeff
@@ -344,10 +363,7 @@ class SparsePoly(_SparseMap):
             raise ValueError("variable count must be non-negative")
         sums = _json_terms(doc["terms"], "exps")
         for exps in sums:
-            if len(exps) != nvars:
-                raise ValueError(
-                    f"exponent vector {exps} does not match {nvars} variables"
-                )
+            _check_exponent_vector(exps, nvars)
         poly = cls.__new__(cls)
         poly.nvars = nvars
         poly._terms = {exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc}

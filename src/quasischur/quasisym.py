@@ -118,15 +118,18 @@ def fundamental_words(alpha, nvars: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(add, word, raise_by))
 
 
+def _exponents(word, nvars: int) -> tuple[int, ...]:
+    """The exponent vector of a word in the letters 1..nvars."""
+    counts = [0] * nvars
+    for a in word:
+        counts[a - 1] += 1
+    return tuple(counts)
+
+
 def fundamental(alpha, nvars: int) -> SparsePoly:
     """F_alpha(x_1..x_nvars), one monomial per word of fundamental_words."""
-    terms: dict[tuple[int, ...], int] = {}
-    for word in fundamental_words(alpha, nvars):
-        exps = [0] * nvars
-        for a in word:
-            exps[a - 1] += 1
-        terms[tuple(exps)] = 1
-    return SparsePoly(nvars, terms)
+    words = fundamental_words(alpha, nvars)
+    return SparsePoly(nvars, {_exponents(word, nvars): 1 for word in words})
 
 
 def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:

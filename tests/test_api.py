@@ -21,10 +21,8 @@ PUBLIC = [
     "elw_to_schur",
     "involution",
     "verify_involution",
-    "DEFAULT_MAX_N",
     "ExperimentReport",
     "Filling",
-    "SizeBoundError",
     "hl_fundamental_expansion",
     "hll_expansion",
     "inv_zero_fillings",

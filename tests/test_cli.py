@@ -132,6 +132,7 @@ class TestFexpand:
         code, out, err = run_cli(capsys, "fexpand", "-")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+        assert "negative exponent" in err
 
 
 class TestToSchur:
@@ -424,9 +425,14 @@ class TestSizeBound:
             ["fundamental", "2,3,5"],
             ["fexpand", "POLY"],
             ["toschur", "--verify-symmetric", "F"],
+            ["verify-involution", "2,3,5"],
+            ["hll", "5,5"],
+            ["hll", "--experiment", "4,3,3"],
+            ["positivity", "10"],
         ],
         ids=["fundamental-14-vars-14", "fundamental-vars-12", "fundamental-weight-10",
-             "fexpand-degree-10", "toschur-verify-degree-10"],
+             "fexpand-degree-10", "toschur-verify-degree-10", "verify-involution-weight-10",
+             "hll-weight-10", "hll-experiment-weight-10", "positivity-weight-10"],
     )
     def test_over_default_bound_rejected(self, capsys, tmp_path, argv):
         poly, f = self.documents(tmp_path)

@@ -162,7 +162,7 @@ class TestInvolution:
         for alpha in compositions_of(n):
             strict = set_of_composition(alpha)
             for u in constrained_monomials(alpha):
-                step = elw._exchange(alpha, strict, elw._exponents(u.word))
+                step = elw._exchange(alpha, strict, elw._exponents(u.word, len(u.word)))
                 expected = reference_involution(alpha, u.word)
                 image = involution(u)
                 if step is None:
@@ -191,7 +191,7 @@ class TestInvolution:
         with pytest.raises(ValueError, match="not a constrained monomial"):
             involution(u)
         with pytest.raises(error, match=message):
-            elw._exchange(alpha, set_of_composition(alpha), elw._exponents(word))
+            elw._exchange(alpha, set_of_composition(alpha), elw._exponents(word, len(word)))
 
     @pytest.mark.parametrize(
         "alpha, word",
@@ -298,7 +298,7 @@ class TestVerify:
         # zero, so the pair cancels and only the round trip back can fail
         alpha = Composition((3, 1))
         strict = set_of_composition(alpha)
-        gammas = [elw._exponents(u.word) for u in constrained_monomials(alpha)]
+        gammas = [elw._exponents(u.word, len(u.word)) for u in constrained_monomials(alpha)]
         moved = [g for g in gammas if elw._exchange(alpha, strict, g) is not None]
         first, partner = moved[0], elw._exchange(alpha, strict, moved[0])[2]
         elsewhere = next(

@@ -16,7 +16,6 @@ from quasischur import hall_littlewood
 from quasischur.hall_littlewood import (
     ExperimentReport,
     Filling,
-    SizeBoundError,
     _census,
     _force_row,
     _mask_composition,
@@ -254,10 +253,6 @@ class TestInvZeroFillings:
                 count += 1
             assert count == decomposition_count(mu)
 
-    def test_bound_enforced(self):
-        with pytest.raises(SizeBoundError):
-            list(inv_zero_fillings((10,), max_n=9))
-
     @pytest.mark.parametrize("mu", ORACLE_SHAPES + WEIGHT_EIGHT, ids=shape_id)
     def test_matches_reference_walk(self, mu):
         words = list(inv_zero_fillings(mu))
@@ -304,7 +299,7 @@ class TestExpansions:
         # mask: the coefficients of F_alpha and F_reverse(alpha) in a
         # symmetric function agree
         mu = Partition(mu)
-        for mask, maj, word in _census(mu, max_n=9):
+        for mask, maj, word in _census(mu):
             assert _mask_composition(mask, mu.weight) == tuple(pides(word)), word
             assert maj == maj_stat(Filling.from_reading_word(mu, word)), word
 
@@ -366,7 +361,7 @@ class TestCocharge:
         ids=["4,3,3", "3,3,3,1"],
     )
     def test_weight_ten_experiment(self, mu, discrepancy):
-        report = leftover_experiment(mu, max_n=10)
+        report = leftover_experiment(mu)
         assert report.true_expansion == cocharge_expansion(mu)
         assert report.discrepancy == Expansion("s", 10, discrepancy)
 

@@ -53,6 +53,16 @@ class TestQT:
     def test_str(self):
         assert str(QT_ONE + Q * T * T) == "1 + q*t^2"
 
+    @pytest.mark.parametrize(
+        "terms", [{(0, 0): 2.5}, {(0, 0): "2"}, {(1.5, 0): 1}, {(0, 1.0): 1}]
+    )
+    def test_non_integers_are_refused(self, terms):
+        with pytest.raises(TypeError):
+            QT(terms)
+
+    def test_bool_is_an_int(self):
+        assert QT({(0, 0): True}) == QT_ONE and str(QT({(1, 0): True})) == "q"
+
 
 class TestRingOps:
     def test_add_cancels(self):
@@ -70,6 +80,19 @@ class TestRingOps:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             x(2, 1) + x(3, 1)
+
+    @pytest.mark.parametrize("exps", [(-1,), (1, -1), (-2, 0)], ids=str)
+    def test_negative_exponent_is_refused(self, exps):
+        nvars = len(exps)
+        with pytest.raises(ValueError, match="negative exponent"):
+            SparsePoly(nvars, {exps: 1})
+        doc = {"vars": nvars, "terms": [{"exps": list(exps), "coeff": [[0, 0, 1]]}]}
+        with pytest.raises(ValueError, match="negative exponent"):
+            SparsePoly.from_json_dict(doc)
+
+    def test_non_integer_exponent_is_refused(self):
+        with pytest.raises(TypeError):
+            SparsePoly(1, {(1.5,): 1})
 
     def test_json_round_trip(self):
         p = x(3, 1) * x(3, 2).scalar_mul(Q) + SparsePoly.monomial(3, (0, 1, 2), T)
@@ -207,11 +230,16 @@ class TestSharedSparseMap:
     def test_int_operands(self, name):
         a, _, _ = SPARSE_MAPS[name]
         if name != "QT":
-            with pytest.raises(TypeError):
-                a + 1
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(a, 1)
+                with pytest.raises(TypeError):
+                    op(1, a)
             assert a != 0
             return
-        assert a + 1 == QT.integer(2) + Q - T * T and a - 1 == Q - T * T
+        assert a + 1 == 1 + a == QT.integer(2) + Q - T * T and a - 1 == Q - T * T
+        assert 1 - a == T * T - Q and 0 - a == -a
+        assert sum([T, T]) == 2 * T and sum([a, -a]) == 0
         assert 2 * a == a * 2 == a + a and a * 0 == 0 and 0 * a == QT()
         assert QT.integer(3) == 3 and 3 == QT.integer(3) and QT() == 0
 

@@ -4,10 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasischur import elw
 from quasischur.combinatorics import compositions_of, partitions_of, set_of_composition
 from quasischur.polynomial import Q, QT, QT_ZERO, SparsePoly, T
 from quasischur.quasisym import (
     Expansion,
+    _exponents,
     extract_f_expansion,
     fundamental,
     fundamental_words,
@@ -86,6 +88,12 @@ class TestFundamental:
 
     def test_strict_pair(self):
         assert fundamental((1, 1), 2) == SparsePoly.monomial(2, (1, 1))
+
+    def test_one_word_to_exponent_count(self):
+        # the monomials of fundamental and the gammas of elw come from one count
+        assert elw._exponents is _exponents
+        assert _exponents((1, 1, 3), 4) == (2, 0, 1, 0)
+        assert _exponents((), 2) == (0, 0)
 
     def test_weak_pairs(self):
         expected = (

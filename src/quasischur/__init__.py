@@ -33,7 +33,6 @@ from .hall_littlewood import (
     leftover_experiment,
     maj_stat,
     pides,
-    symmetry_check,
 )
 from .polynomial import QT, SparsePoly
 from .quasisym import (
@@ -73,7 +72,6 @@ __all__ = [
     "leftover_experiment",
     "maj_stat",
     "pides",
-    "symmetry_check",
     "QT",
     "SparsePoly",
     "Expansion",

@@ -5,6 +5,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
+_INT_ONLY = frozenset((int,))
+
+
+def _ints(values) -> tuple[int, ...]:
+    """values as a tuple of plain ints: the one integer rule of the package's
+    constructors.  A bool is read as its int value; anything else that is
+    not an int, such as a float or a string, raises TypeError rather than
+    being read through int()."""
+    values = tuple(values)
+    if not _INT_ONLY.issuperset(map(type, values)):
+        if not all(isinstance(value, int) for value in values):
+            raise TypeError(f"expected integers, got {values!r}")
+        values = tuple(map(int, values))
+    return values
+
 
 class _Parts(tuple):
     """A sequence of integer parts; each subclass checks its parts in __new__."""
@@ -21,7 +36,7 @@ class Composition(_Parts):
     """Finite sequence of strictly positive integers."""
 
     def __new__(cls, parts) -> "Composition":
-        parts = tuple(int(p) for p in parts)
+        parts = _ints(parts)
         if not parts:
             raise ValueError("composition must have at least one part")
         if any(p < 1 for p in parts):
@@ -33,7 +48,7 @@ class WeakComposition(_Parts):
     """Fixed-length sequence of non-negative integers."""
 
     def __new__(cls, parts) -> "WeakComposition":
-        parts = tuple(int(p) for p in parts)
+        parts = _ints(parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"weak composition parts must be >= 0, got {parts}")
         return super().__new__(cls, parts)
@@ -43,7 +58,7 @@ class Partition(_Parts):
     """Weakly decreasing sequence of positive integers.  May be empty."""
 
     def __new__(cls, parts) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = _ints(parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be >= 1, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -46,11 +46,6 @@ class ConstrainedMonomial:
     def gamma(self) -> WeakComposition:
         return WeakComposition(_exponents(self.word, len(self.word)))
 
-    @property
-    def full_exponent(self) -> tuple[int, ...]:
-        n = len(self.word)
-        return tuple(map(add, _exponents(self.word, n), staircase(n)))
-
 
 class FixedPoint:
     """Sentinel returned by the involution on its unique fixed point."""

@@ -19,7 +19,7 @@ from .combinatorics import (
 )
 from .elw import elw_to_schur
 from .polynomial import QT
-from .quasisym import Expansion, is_symmetric_expansion
+from .quasisym import Expansion
 from .schur import straighten
 
 @dataclass(frozen=True)
@@ -204,12 +204,6 @@ def hll_expansion(mu) -> Expansion:
     """Schur expansion of the modified Hall-Littlewood polynomial, obtained by
     the F-to-s replacement applied to the inversion-free filling sum."""
     return elw_to_schur(hl_fundamental_expansion(mu))
-
-
-def symmetry_check(mu) -> bool:
-    """Whether the inversion-free filling sum is symmetric in n variables
-    (coefficientwise in t, so per t-degree)."""
-    return is_symmetric_expansion(hl_fundamental_expansion(mu))
 
 
 @dataclass

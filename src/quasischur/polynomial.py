@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from operator import add
 from typing import Iterable, Mapping
 
-from .combinatorics import permutation_sign
+from .combinatorics import _INT_ONLY, _ints, permutation_sign
 
 
 def _json_int(value) -> int:
@@ -22,9 +21,6 @@ def _json_list(value) -> list:
     if type(value) is not list:
         raise TypeError(f"expected an array, got {type(value).__name__}")
     return value
-
-
-_INT_ONLY = frozenset((int,))
 
 
 def _json_ints(values) -> tuple[int, ...]:
@@ -93,16 +89,28 @@ class _SparseMap:
     the one store and arithmetic of `QT`, `SparsePoly` and `Expansion`.
 
     A subclass's _SPACE names the attributes that fix its space: the
-    variable count, or the basis and degree.  Two operands of +, - and the
-    product must agree on them, maps in different spaces are unequal, and a
-    result built here copies them, and no other attribute, from self.
-    Each subclass checks its keys in its constructor; every result built
-    here comes from maps already checked, so it is taken without a check.
+    variable count, or the basis and degree.  Two operands of + and - must
+    agree on them, maps in different spaces are unequal, and a result built
+    here copies them, and no other attribute, from self.
+    The constructor is the one loop that checks terms: a subclass sets its
+    space and then reads each key through its _key and each coefficient
+    through its _coeff, which raise on a term outside the space; two keys
+    read as the same key are added, like equal keys of a document.  _wrap is
+    the one unchecked path: every result built here comes from maps already
+    checked, and each JSON reader checks its keys in its own pass.
     A subclass prints through its sorted_terms and _str_term.
     """
 
     __slots__ = ("_terms",)
     _SPACE: tuple[str, ...] = ()
+
+    def __init__(self, terms: Mapping | None = None):
+        cleaned = {}
+        if terms:
+            key_of, coeff_of = self._key, self._coeff
+            for key, c in terms.items():
+                _accumulate(cleaned, key_of(key), coeff_of(c))
+        self._terms = cleaned
 
     def _wrap(self, terms: dict) -> "_SparseMap":
         """A map of the same class and space as self over terms, a dict
@@ -163,18 +171,6 @@ class _SparseMap:
     def __sub__(self, other):
         return self + (-other)
 
-    def _product(self, other):
-        """The product of two maps keyed by exponent vectors: the keys add
-        entrywise and the coefficients multiply."""
-        other = self._compatible(other)
-        if other is None:
-            return NotImplemented
-        out: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-        return self._wrap(out)
-
     def __str__(self) -> str:
         return " + ".join(map(self._str_term, self.sorted_terms())) or "0"
 
@@ -188,21 +184,18 @@ class QT(_SparseMap):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        cleaned = {}
-        if terms:
-            for (qe, te), c in terms.items():
-                if type(qe) is not int or type(te) is not int or type(c) is not int:
-                    if not (isinstance(qe, int) and isinstance(te, int) and isinstance(c, int)):
-                        raise TypeError(
-                            f"expected integer exponents and coefficient, got {(qe, te)!r}: {c!r}"
-                        )
-                    c = int(c)  # a bool coefficient is read as 0 or 1
-                if qe < 0 or te < 0:
-                    raise ValueError("negative q/t exponent")
-                if c:
-                    cleaned[(qe, te)] = c
-        self._terms = cleaned
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        key = _ints(key)
+        qe, te = key
+        if qe < 0 or te < 0:
+            raise ValueError("negative q/t exponent")
+        return key
+
+    @staticmethod
+    def _coeff(c) -> int:
+        (c,) = _ints((c,))
+        return c
 
     @classmethod
     def integer(cls, n: int) -> "QT":
@@ -223,7 +216,17 @@ class QT(_SparseMap):
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    __mul__ = __rmul__ = _SparseMap._product
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out: dict[tuple[int, int], int] = {}
+        for (q1, t1), c1 in self._terms.items():
+            for (q2, t2), c2 in other._terms.items():
+                _accumulate(out, (q1 + q2, t1 + t2), c1 * c2)
+        return self._wrap(out)
+
+    __rmul__ = __mul__
     __radd__ = _SparseMap.__add__
 
     def __rsub__(self, other):
@@ -289,53 +292,18 @@ class SparsePoly(_SparseMap):
     _SPACE = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], QT] | None = None):
+        (nvars,) = _ints((nvars,))
         if nvars < 0:
             raise ValueError("variable count must be non-negative")
         self.nvars = nvars
-        cleaned: dict[tuple[int, ...], QT] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if not _INT_ONLY.issuperset(map(type, exps)):
-                    if not all(isinstance(e, int) for e in exps):
-                        raise TypeError(f"exponents must be integers, got {exps}")
-                _check_exponent_vector(exps, nvars)
-                coeff = _as_qt(coeff)
-                if coeff:
-                    cleaned[exps] = coeff
-        self._terms = cleaned
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars)
+    def _key(self, exps) -> tuple[int, ...]:
+        exps = _ints(exps)
+        _check_exponent_vector(exps, self.nvars)
+        return exps
 
-    @classmethod
-    def one(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: QT_ONE})
-
-    @classmethod
-    def monomial(cls, nvars: int, exps, coeff=QT_ONE) -> "SparsePoly":
-        return cls(nvars, {tuple(exps): _as_qt(coeff)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "SparsePoly":
-        """The variable x_index (1-based)."""
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return cls.monomial(nvars, exps)
-
-    def __mul__(self, other) -> "SparsePoly":
-        if isinstance(other, (QT, int)):
-            return self.scalar_mul(other)
-        return self._product(other)
-
-    __rmul__ = __mul__
-
-    def scalar_mul(self, scalar) -> "SparsePoly":
-        scalar = _as_qt(scalar)
-        if not scalar:
-            return SparsePoly.zero(self.nvars)
-        return self._wrap({e: c * scalar for e, c in self._terms.items()})
+    _coeff = staticmethod(_as_qt)
 
     def degree(self) -> int:
         """Total degree in the x variables; zero polynomial has degree 0."""
@@ -358,16 +326,11 @@ class SparsePoly(_SparseMap):
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
         """Read the serialized form in one pass that checks every number.
         Entries with equal exps are added; terms that cancel are dropped."""
-        nvars = _json_int(doc["vars"])
-        if nvars < 0:
-            raise ValueError("variable count must be non-negative")
+        empty = cls(_json_int(doc["vars"]))
         sums = _json_terms(doc["terms"], "exps")
         for exps in sums:
-            _check_exponent_vector(exps, nvars)
-        poly = cls.__new__(cls)
-        poly.nvars = nvars
-        poly._terms = {exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc}
-        return poly
+            _check_exponent_vector(exps, empty.nvars)
+        return empty._wrap({exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc})
 
     @staticmethod
     def _str_term(term) -> str:

@@ -10,11 +10,13 @@ from typing import Iterator, Mapping
 from .combinatorics import (
     Composition,
     Partition,
+    _ints,
     compositions_of,
     set_of_composition,
 )
 from .polynomial import (
     QT,
+    QT_ONE,
     QT_ZERO,
     SparsePoly,
     _as_qt,
@@ -40,20 +42,14 @@ class Expansion(_SparseMap):
     def __init__(self, basis: str, degree: int, terms: Mapping | None = None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
+        (degree,) = _ints((degree,))
         if degree < 0:
             raise ValueError(f"degree must be non-negative, got {degree}")
         self.basis = basis
         self.degree = degree
-        cleaned: dict[tuple[int, ...], QT] = {}
-        if terms:
-            for index, coeff in terms.items():
-                index = self._normalize_index(index)
-                coeff = _as_qt(coeff)
-                if coeff:
-                    cleaned[index] = coeff
-        self._terms = cleaned
+        super().__init__(terms)
 
-    def _normalize_index(self, index) -> tuple[int, ...]:
+    def _key(self, index) -> tuple[int, ...]:
         # the empty index is the degree-0 basis element F_() = M_() = s_() = 1
         if self.basis == "s":
             index = tuple(Partition(index))
@@ -66,6 +62,8 @@ class Expansion(_SparseMap):
                 f"index {index} has weight {sum(index)}, expected {self.degree}"
             )
         return index
+
+    _coeff = staticmethod(_as_qt)
 
     def coefficient(self, index) -> QT:
         return self._terms.get(tuple(index), QT_ZERO)
@@ -89,14 +87,13 @@ class Expansion(_SparseMap):
         Entries with equal index are added; terms that cancel are dropped,
         after their index is checked."""
         sums = _json_terms(doc["terms"], "index")
-        result = cls(doc["basis"], _json_int(doc["degree"]))
+        empty = cls(doc["basis"], _json_int(doc["degree"]))
         terms: dict[tuple[int, ...], QT] = {}
         for index, acc in sums.items():
-            index = result._normalize_index(index)
+            index = empty._key(index)
             if acc:
                 terms[index] = QT_ZERO._wrap(acc)
-        result._terms = terms
-        return result
+        return empty._wrap(terms)
 
     def _str_term(self, term) -> str:
         index, coeff = term
@@ -129,7 +126,7 @@ def _exponents(word, nvars: int) -> tuple[int, ...]:
 def fundamental(alpha, nvars: int) -> SparsePoly:
     """F_alpha(x_1..x_nvars), one monomial per word of fundamental_words."""
     words = fundamental_words(alpha, nvars)
-    return SparsePoly(nvars, {_exponents(word, nvars): 1 for word in words})
+    return SparsePoly(nvars, {_exponents(word, nvars): QT_ONE for word in words})
 
 
 def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import Partition, WeakComposition
-from .polynomial import SparsePoly, _sort_sign
+from .polynomial import QT, SparsePoly, _sort_sign
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,6 @@ def schur_ssyt(shape, nvars: int) -> SparsePoly:
     """s_shape by direct enumeration of semistandard tableaux with entries
     at most nvars.  Independent of straightening and of the alternants."""
     shape = Partition(shape)
-    if not shape:
-        return SparsePoly.one(nvars)
     rows = len(shape)
     counts: dict[tuple[int, ...], int] = {}
     content = [0] * nvars
@@ -94,4 +92,7 @@ def schur_ssyt(shape, nvars: int) -> SparsePoly:
             tableau[row].pop()
 
     fill(0, 0)
-    return SparsePoly(nvars, {exps: count for exps, count in counts.items()})
+    # one coefficient per distinct count, shared by every monomial with it,
+    # so the checked constructor builds no QT per monomial
+    coeffs = {count: QT.integer(count) for count in set(counts.values())}
+    return SparsePoly(nvars, {exps: coeffs[count] for exps, count in counts.items()})

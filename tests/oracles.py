@@ -4,8 +4,13 @@ Each is a slow, direct evaluation that a faster or division-free route in the
 package is compared against: the n!-expanding antisymmetrizer, ordered set
 decompositions, Robinson-Schensted insertion with both tableaux, one step of
 the exchange rule, monomial quasisymmetric polynomials, expansions evaluated
-as polynomials, symmetry by swapping variables, the full Haglund filling
-sum, and the Hall-Littlewood Schur expansion by cocharge.
+as polynomials, symmetry by swapping variables, the symmetry of the
+inversion-free filling sum, the full Haglund filling sum, and the
+Hall-Littlewood Schur expansion by cocharge.
+
+The ring operations that build the tests' polynomials live here too, since
+no route in the package needs them: the constants zero and one, monomials
+and variables, the product and the product by a scalar.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import factorial
+from operator import add
 from typing import Iterator
 
 from quasischur.combinatorics import (
@@ -22,10 +28,49 @@ from quasischur.combinatorics import (
     WeakComposition,
     permutation_sign,
 )
-from quasischur.hall_littlewood import Filling, maj_stat, pides
-from quasischur.polynomial import QT, QT_ZERO, SparsePoly, _sort_sign
-from quasischur.quasisym import Expansion, fundamental
+from quasischur.hall_littlewood import Filling, hl_fundamental_expansion, maj_stat, pides
+from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt, _sort_sign
+from quasischur.quasisym import Expansion, fundamental, is_symmetric_expansion
 from quasischur.schur import schur_ssyt
+
+
+# the polynomial ring
+
+
+def zero(nvars: int) -> SparsePoly:
+    return SparsePoly(nvars)
+
+
+def one(nvars: int) -> SparsePoly:
+    return SparsePoly(nvars, {(0,) * nvars: QT_ONE})
+
+
+def monomial(nvars: int, exps, coeff=QT_ONE) -> SparsePoly:
+    return SparsePoly(nvars, {tuple(exps): coeff})
+
+
+def variable(nvars: int, index: int) -> SparsePoly:
+    """The variable x_index (1-based)."""
+    exps = [0] * nvars
+    exps[index - 1] = 1
+    return monomial(nvars, exps)
+
+
+def mul(p: SparsePoly, r: SparsePoly) -> SparsePoly:
+    """The product of two polynomials in the same variables: the exponent
+    vectors add entrywise and the coefficients multiply."""
+    r = p._compatible(r)
+    out: dict[tuple[int, ...], QT] = {}
+    for e1, c1 in p.terms():
+        for e2, c2 in r.terms():
+            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+    return SparsePoly(p.nvars, out)
+
+
+def scalar_mul(p: SparsePoly, scalar) -> SparsePoly:
+    """The product of p by an element of Z[q,t] or an int."""
+    scalar = _as_qt(scalar)
+    return SparsePoly(p.nvars, {e: c * scalar for e, c in p.terms()})
 
 
 # polynomials
@@ -87,10 +132,7 @@ def set_variable_to_zero(p: SparsePoly, index: int) -> SparsePoly:
         if exps[index - 1]:
             continue
         out[exps[: index - 1] + exps[index:]] = coeff
-    result = SparsePoly.__new__(SparsePoly)
-    result.nvars = p.nvars - 1
-    result._terms = out
-    return result
+    return SparsePoly(p.nvars - 1, out)
 
 
 # combinatorics
@@ -192,14 +234,20 @@ def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:
         "s": schur_ssyt,
     }
     build = builders[e.basis]
-    total = SparsePoly.zero(nvars)
+    total = zero(nvars)
     for index, coeff in e.terms():
-        poly = build(index, nvars) if index else SparsePoly.one(nvars)
-        total = total + poly.scalar_mul(coeff)
+        poly = build(index, nvars) if index else one(nvars)
+        total = total + scalar_mul(poly, coeff)
     return total
 
 
 # diagram fillings
+
+
+def symmetry_check(mu) -> bool:
+    """Whether the inversion-free filling sum is symmetric in n variables
+    (coefficientwise in t, so per t-degree)."""
+    return is_symmetric_expansion(hl_fundamental_expansion(mu))
 
 
 def _counterclockwise(a: int, b: int, c: float) -> bool:

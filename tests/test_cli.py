@@ -76,6 +76,10 @@ class TestFundamental:
         assert code == 0
         assert json.loads(out) == {"vars": 0, "terms": []}
 
+    def test_negative_vars_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "fundamental", "2,1", "--vars", "-1")
+        assert (code, out, err) == (2, "", "error: variable count must be non-negative\n")
+
 
 class TestFexpand:
     def test_round_trip(self, capsys, tmp_path):

@@ -25,6 +25,19 @@ compositions = st.integers(1, 7).flatmap(
 
 
 class TestTypes:
+    @pytest.mark.parametrize(
+        "kind, parts",
+        [(Composition, [1.5, 2]), (WeakComposition, ["3", 0]), (Partition, [2.9, True])],
+        ids=["Composition", "WeakComposition", "Partition"],
+    )
+    def test_non_integer_parts_are_refused(self, kind, parts):
+        with pytest.raises(TypeError):
+            kind(parts)
+
+    def test_bool_part_is_an_int(self):
+        parts = Partition([2, True])
+        assert parts == (2, 1) and all(type(p) is int for p in parts)
+
     def test_composition_rejects_zero_parts(self):
         with pytest.raises(ValueError):
             Composition((2, 0, 1))

@@ -26,7 +26,6 @@ from quasischur.hall_littlewood import (
     leftover_experiment,
     maj_stat,
     pides,
-    symmetry_check,
 )
 from quasischur.elw import elw_to_schur
 from quasischur.polynomial import QT, QT_ZERO, Q, T
@@ -43,6 +42,7 @@ from oracles import (
     haglund_expansion,
     inv_stat,
     rsk_insert,
+    symmetry_check,
 )
 
 # every shape of weight <= 7, and the weight-9 counterexample shape

@@ -2,6 +2,7 @@
 readers and the grouping they replaced, kept here as oracles."""
 
 import itertools
+import json
 import random
 from math import comb
 
@@ -285,4 +286,77 @@ class TestGrouping:
 
     def test_constant(self):
         assert monomial_qs_coefficients(SparsePoly(3, {(0, 0, 0): 5})) == {(): QT.integer(5)}
-        assert monomial_qs_coefficients(SparsePoly.zero(3)) == {}
+        assert monomial_qs_coefficients(SparsePoly(3)) == {}
+
+
+# The constructors' integer rule: a bool key entry, coefficient or space
+# attribute is stored as its int value, so what the writers print the
+# readers take back.
+
+def int_or_bool(n: int):
+    """n, or for 0 and 1 possibly the bool of the same value."""
+    return st.sampled_from([n, bool(n)]) if n in (0, 1) else st.just(n)
+
+
+def mixed(values):
+    return st.tuples(*map(int_or_bool, values))
+
+
+@st.composite
+def mixed_qts(draw) -> QT:
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                 st.integers(-2, 2), max_size=3))
+    return QT({draw(mixed(key)): draw(int_or_bool(c)) for key, c in terms.items()})
+
+
+MIXED_COEFFS = st.integers(-2, 2).flatmap(int_or_bool) | mixed_qts()
+
+
+def is_plain_qt(value: QT) -> bool:
+    return all(type(n) is int for (qe, te), c in value.terms() for n in (qe, te, c))
+
+
+def is_plain_map(value) -> bool:
+    """Whether every key entry of a SparsePoly or Expansion is an int and
+    every coefficient a QT of ints."""
+    return all(
+        all(type(n) is int for n in key) and is_plain_qt(c) for key, c in value.terms()
+    )
+
+
+def json_round_trip(doc):
+    return json.loads(json.dumps(doc))
+
+
+class TestIntRule:
+    @settings(max_examples=100, deadline=None)
+    @given(value=mixed_qts())
+    def test_qt(self, value):
+        assert is_plain_qt(value)
+        assert QT.from_triples(json_round_trip(value.triples())) == value
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sparse_poly(self, data):
+        n = data.draw(st.integers(0, 3))
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
+                                          MIXED_COEFFS, max_size=4))
+        p = SparsePoly(data.draw(int_or_bool(n)),
+                       {data.draw(mixed(exps)): c for exps, c in terms.items()})
+        assert type(p.nvars) is int and is_plain_map(p)
+        assert SparsePoly.from_json_dict(json_round_trip(p.to_json_dict())) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_expansion(self, data):
+        basis = data.draw(st.sampled_from(["F", "M", "s"]))
+        n = data.draw(st.integers(0, 4))
+        if n == 0:
+            indices = [()]
+        else:
+            indices = list(partitions_of(n) if basis == "s" else compositions_of(n))
+        chosen = data.draw(st.lists(st.sampled_from(indices), unique=True, max_size=4))
+        terms = {data.draw(mixed(index)): data.draw(MIXED_COEFFS) for index in chosen}
+        e = Expansion(basis, data.draw(int_or_bool(n)), terms)
+        assert type(e.degree) is int and is_plain_map(e)
+        assert Expansion.from_json_dict(json_round_trip(e.to_json_dict())) == e

@@ -6,7 +6,7 @@ from quasischur.combinatorics import compositions_of, pad, partitions_of
 from quasischur.polynomial import SparsePoly, class_map, staircase
 from quasischur.schur import SignedSchur, schur_ssyt, straighten
 
-from oracles import antisymmetrize, is_symmetric, straighten_once
+from oracles import antisymmetrize, is_symmetric, monomial, mul, one, straighten_once, variable
 
 
 def is_schur_by_class_map(f, lam, n):
@@ -32,6 +32,10 @@ def weak_compositions(total, length):
 class TestStraighten:
     def test_forced_zero(self):
         assert straighten((1, 2)).is_zero()
+
+    def test_non_integer_entry_is_refused(self):
+        with pytest.raises(TypeError):
+            straighten((1.7, 0))
 
     def test_signed_example(self):
         assert straighten((1, 3)) == SignedSchur.of(-1, (2, 2))
@@ -92,25 +96,28 @@ class TestStraighten:
 class TestSsyt:
     def test_single_box_row(self):
         p = schur_ssyt((1,), 3)
-        assert p == sum(
-            (SparsePoly.variable(3, i) for i in (2, 3)), SparsePoly.variable(3, 1)
-        )
+        assert p == sum((variable(3, i) for i in (2, 3)), variable(3, 1))
 
     def test_two_fillings(self):
         p = schur_ssyt((2, 1), 2)
-        expected = SparsePoly.monomial(2, (2, 1)) + SparsePoly.monomial(2, (1, 2))
+        expected = monomial(2, (2, 1)) + monomial(2, (1, 2))
         assert p == expected
 
     def test_column_taller_than_vars(self):
         assert schur_ssyt((1, 1, 1), 2).is_zero()
 
     def test_empty_shape(self):
-        assert schur_ssyt((), 3) == SparsePoly.one(3)
+        assert schur_ssyt((), 3) == one(3)
+        assert schur_ssyt((), 0) == one(0)
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="variable count must be non-negative"):
+            schur_ssyt((), -1)
 
 
 def alternant(n, exps, coeff=1):
     """The alternant of coeff * x^exps in n variables, through the n! oracle."""
-    return antisymmetrize(SparsePoly.monomial(n, exps, coeff))
+    return antisymmetrize(monomial(n, exps, coeff))
 
 
 class TestOracleAgreement:
@@ -142,7 +149,7 @@ class TestOracleAgreement:
                 if n <= 5:
                     # for a symmetric f, the alternant of f * x^delta is
                     # f * a_delta, so f = s_lam when it is a_(lam + delta)
-                    lifted = antisymmetrize(f * SparsePoly.monomial(n, delta))
+                    lifted = antisymmetrize(mul(f, monomial(n, delta)))
                     expected = alternant(n, tuple(map(add, pad(lam, n), delta)))
                     assert is_symmetric(f) and lifted == expected, lam
                 else:
@@ -164,6 +171,6 @@ class TestOracleAgreement:
                     assert not is_schur_by_class_map(dropped, lam, n), (lam, exps)
                 # x^lam alone has the alternant of x^(lam + delta); unless it
                 # is s_lam, it is not symmetric
-                monomial = SparsePoly.monomial(n, pad(lam, n))
-                if monomial != f:
-                    assert not is_schur_by_class_map(monomial, lam, n), lam
+                single = monomial(n, pad(lam, n))
+                if single != f:
+                    assert not is_schur_by_class_map(single, lam, n), lam

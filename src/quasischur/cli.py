@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -64,7 +65,13 @@ def _emit(result, text: bool) -> None:
 
 
 def _read_document(path: str, parse, kind: str):
-    """Load a JSON document from a file or stdin (`-`) and parse it."""
+    """Load a JSON document from a file or stdin (`-`) and parse it.
+
+    The decoded tree and the maps read from it hold no reference cycles, so
+    the cyclic GC is paused while they grow: its passes would only scan
+    them.  The caller's GC state is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         if path == "-":
             doc = json.load(sys.stdin)
@@ -75,6 +82,9 @@ def _read_document(path: str, parse, kind: str):
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         # RecursionError: the decoder's nesting limit, from a few kB of brackets
         raise CliError(f"cannot read {kind} document: {exc}")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _within_bound(args, what: str, size: int) -> None:

@@ -97,10 +97,19 @@ def pad(alpha, n: int) -> WeakComposition:
 
 
 def compositions_of(n: int) -> Iterator[Composition]:
-    """All 2^(n-1) compositions of n, lexicographic on the descent set."""
+    """All 2^(n-1) compositions of n, lexicographic on the descent set: the
+    composition at position mask has Set = {i : bit i-1 of mask is set}, and
+    is built straight from the bits, each point closing a part."""
+    if n < 1:
+        raise ValueError("n must be positive")
     for mask in range(1 << (n - 1)):
-        s = {i + 1 for i in range(n - 1) if mask >> i & 1}
-        yield composition_of_set(s, n)
+        parts = [1]
+        for i in range(n - 1):
+            if mask >> i & 1:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        yield Composition(parts)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur.cli import main
+from quasischur.cli import CliError, _read_document, main
+from quasischur.polynomial import SparsePoly
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +26,13 @@ POLY_X1 = {"vars": 1, "terms": [{"exps": [1], "coeff": [[0, 0, 1]]}]}
 EXPANSION_F1 = {"basis": "F", "degree": 1, "terms": [{"index": [1], "coeff": [[0, 0, 1]]}]}
 NON_INTEGERS = [True, 1.5, "1"]
 NON_ARRAYS = [{}, ""]
+
+
+def set_gc(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
 
 
 def non_integer_documents(doc, paths, values=NON_INTEGERS):
@@ -128,6 +137,17 @@ class TestFexpand:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         code, out, _ = run_cli(capsys, "fexpand", "--text", "-")
         assert (code, out) == (0, "(1 + -3*q*t^2)*F[]\n")
+
+    @pytest.mark.parametrize("spoiled", ["[[0,0,true]]", "[[0,0,1.0]]", "[[0.0,0,1]]"])
+    def test_array_equal_to_a_read_one_is_still_checked(self, capsys, monkeypatch, spoiled):
+        # the reader shares the map of [[0,0,1]] with every entry carrying an
+        # equal array, which each of these is in Python but not in JSON
+        text = ('{"vars":2,"terms":[{"exps":[1,0],"coeff":[[0,0,1]]},'
+                f'{{"exps":[0,1],"coeff":{spoiled}}}]}}')
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "fexpand", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read polynomial document: expected an integer")
 
     @pytest.mark.parametrize("exps", [[-1, 1], [1, -1], [-1, 0]])
     def test_negative_exponent_rejected(self, capsys, monkeypatch, exps):
@@ -274,6 +294,40 @@ def mostly(valid, junk):
 
 
 class TestDocumentReading:
+    # _read_document pauses the cyclic GC while it reads, and gives the
+    # caller's GC state back on every exit
+    READS = {
+        "ok": '{"vars":1,"terms":[{"exps":[1],"coeff":[[0,0,1]]}]}',
+        "bad-json": "{nope",
+        "bad-document": '{"vars":1,"terms":[{"exps":[1],"coeff":[[0,0,1.5]]}]}',
+        "missing-file": None,
+    }
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("case", list(READS))
+    def test_gc_state_is_restored(self, tmp_path, case, caller_enabled):
+        path = tmp_path / "doc.json"
+        if self.READS[case] is not None:
+            path.write_text(self.READS[case])
+        seen = []
+
+        def parse(doc):
+            seen.append(gc.isenabled())
+            return SparsePoly.from_json_dict(doc)
+
+        was_enabled = gc.isenabled()
+        set_gc(caller_enabled)
+        try:
+            if case == "ok":
+                assert _read_document(str(path), parse, "polynomial") == SparsePoly(1, {(1,): 1})
+                assert seen == [False]
+            else:
+                with pytest.raises(CliError):
+                    _read_document(str(path), parse, "polynomial")
+            assert gc.isenabled() is caller_enabled
+        finally:
+            set_gc(was_enabled)
+
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("command", ["fexpand", "toschur"])
     def test_deep_nesting_is_usage_error(self, capsys, tmp_path, monkeypatch, command, source):

@@ -208,6 +208,22 @@ def test_compositions_of_counts():
         assert all(c.weight == n for c in comps)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_compositions_of_follow_the_descent_set_bitmask(n):
+    def bits(mask):
+        return {i + 1 for i in range(n - 1) if mask >> i & 1}
+
+    comps = list(compositions_of(n))
+    assert comps == [composition_of_set(bits(mask), n) for mask in range(1 << (n - 1))]
+    assert all(type(c) is Composition and all(type(p) is int for p in c) for c in comps)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_compositions_of_non_positive_is_refused(n):
+    with pytest.raises(ValueError):
+        next(compositions_of(n))
+
+
 def test_partitions_of_counts():
     counts = [len(list(partitions_of(n))) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]

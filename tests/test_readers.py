@@ -9,6 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasischur import polynomial
 from quasischur.combinatorics import Composition, compositions_of, partitions_of
 from quasischur.polynomial import QT, QT_ZERO, SparsePoly, _json_int, _json_list
 from quasischur.quasisym import Expansion, extract_f_expansion, monomial_qs_coefficients
@@ -167,6 +168,61 @@ class TestSeededDocuments:
             reference_expansion_from_json_dict(doc)
         with pytest.raises(ValueError):
             Expansion.from_json_dict(doc)
+
+
+# The readers read each distinct coefficient array once and share its map
+# between the entries that carry it.
+
+# an array equal to [[0, 0, 1]] as a Python key, but not all ints
+NOT_ALL_INTS = [[[0, 0, True]], [[0, 0, 1.0]], [[0.0, 0, 1]]]
+
+
+class TestSharedCoefficients:
+    @pytest.mark.parametrize("spoiled", NOT_ALL_INTS, ids=["bool", "float-coeff", "float-exp"])
+    def test_array_equal_to_a_read_one_is_still_checked(self, spoiled):
+        poly = {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                                     {"exps": [0, 1], "coeff": spoiled}]}
+        expansion = {"basis": "F", "degree": 2, "terms": [{"index": [2], "coeff": [[0, 0, 1]]},
+                                                          {"index": [1, 1], "coeff": spoiled}]}
+        with pytest.raises(TypeError):
+            SparsePoly.from_json_dict(poly)
+        with pytest.raises(TypeError):
+            Expansion.from_json_dict(expansion)
+
+    def test_repeated_exps_sums_only_into_its_own_term(self):
+        # x1 and x2 carry equal arrays; the second x1 entry adds to x1 alone
+        for extra in ([[0, 0, 1]], [[1, 0, 1]]):
+            doc = {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                                        {"exps": [0, 1], "coeff": [[0, 0, 1]]},
+                                        {"exps": [1, 0], "coeff": extra}]}
+            p = SparsePoly.from_json_dict(doc)
+            assert p == reference_poly_from_json_dict(doc)
+            assert dict(p.terms()) == {(1, 0): QT.integer(1) + QT.from_triples(extra),
+                                       (0, 1): QT.integer(1)}
+
+    def test_repeated_index_sums_only_into_its_own_term(self):
+        doc = {"basis": "F", "degree": 2, "terms": [{"index": [2], "coeff": [[0, 0, 1]]},
+                                                    {"index": [1, 1], "coeff": [[0, 0, 1]]},
+                                                    {"index": [2], "coeff": [[0, 0, -1]]}]}
+        e = Expansion.from_json_dict(doc)
+        assert e == reference_expansion_from_json_dict(doc)
+        assert dict(e.terms()) == {(1, 1): QT.integer(1)}
+
+    def test_each_distinct_array_is_read_once(self, monkeypatch):
+        reads = []
+        add_triples = polynomial._add_triples
+
+        def counted(out, triples):
+            reads.append(triples)
+            add_triples(out, triples)
+
+        monkeypatch.setattr(polynomial, "_add_triples", counted)
+        doc = schur_ssyt((3, 2, 1), 6).to_json_dict()
+        p = SparsePoly.from_json_dict(doc)
+        arrays = {json.dumps(t["coeff"]) for t in doc["terms"]}
+        assert len(doc["terms"]) > len(arrays) == len(reads)
+        assert p == schur_ssyt((3, 2, 1), 6)
+        assert len({id(c) for _, c in p.terms()}) == len(arrays)
 
 
 # Valid documents, with small numbers so that entries repeat and cancel, and

@@ -20,19 +20,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def set_gc(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
 # each case replaces a 1 in an integer field of a valid document by a value of
 # another JSON type that int() would read as 1
 POLY_X1 = {"vars": 1, "terms": [{"exps": [1], "coeff": [[0, 0, 1]]}]}
 EXPANSION_F1 = {"basis": "F", "degree": 1, "terms": [{"index": [1], "coeff": [[0, 0, 1]]}]}
 NON_INTEGERS = [True, 1.5, "1"]
 NON_ARRAYS = [{}, ""]
-
-
-def set_gc(enabled: bool) -> None:
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
 
 
 def non_integer_documents(doc, paths, values=NON_INTEGERS):

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Mapping
 
 from .combinatorics import _INT_ONLY, _ints, permutation_sign
-
-_LIST_ONLY = frozenset((list,))
 
 
 def _json_int(value) -> int:
@@ -64,46 +61,19 @@ def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
         _accumulate(out, (qe, te), c)
 
 
-def _triples_key(triples) -> tuple | None:
-    """A JSON coefficient as a tuple of tuples of ints, or None unless it is a
-    list of lists of numbers that are all ints.  The types are checked before
-    the tuple is used as a key, since 1, 1.0 and True are equal keys."""
-    if type(triples) is list and _LIST_ONLY.issuperset(map(type, triples)):
-        key = tuple(map(tuple, triples))
-        if _INT_ONLY.issuperset(map(type, chain.from_iterable(key))):
-            return key
-    return None
-
-
 def _json_terms(entries, field: str) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
     """The terms array of a JSON document, read in one pass: each entry's
     field, an array of integers, maps to the sum of the coefficients of all
-    entries that carry it.  A sum that cancels is left as an empty map.
-
-    Each distinct coefficient array is read once: entries that carry equal
-    arrays share one map, which is read-only, so a repeated field copies its
-    map before adding into it.  An array that is not a list of lists of ints
-    skips the lookup, and _add_triples checks it as before."""
+    entries that carry it.  A sum that cancels is left as an empty map."""
     if type(entries) is not list:
         _json_list(entries)
     sums: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    read: dict[tuple, dict[tuple[int, int], int]] = {}
     for entry in entries:
         key = _json_ints(entry[field])
-        triples = entry["coeff"]
         acc = sums.get(key)
-        if acc is not None:
-            sums[key] = acc = dict(acc)
-            _add_triples(acc, triples)
-            continue
-        array = _triples_key(triples)
-        acc = read.get(array)
         if acc is None:
-            acc = {}
-            _add_triples(acc, triples)
-            if array is not None:
-                read[array] = acc
-        sums[key] = acc
+            acc = sums[key] = {}
+        _add_triples(acc, entry["coeff"])
     return sums
 
 
@@ -355,23 +325,12 @@ class SparsePoly(_SparseMap):
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
         """Read the serialized form in one pass that checks every number.
-        Entries with equal exps are added; terms that cancel are dropped.
-        Terms whose coefficients were read as one map share one QT."""
+        Entries with equal exps are added; terms that cancel are dropped."""
         empty = cls(_json_int(doc["vars"]))
-        nvars = empty.nvars
         sums = _json_terms(doc["terms"], "exps")
-        if sums and (set(map(len, sums)) != {nvars} or nvars and min(map(min, sums)) < 0):
-            for exps in sums:
-                _check_exponent_vector(exps, nvars)
-        qts: dict[int, QT] = {}
-        terms: dict[tuple[int, ...], QT] = {}
-        for exps, acc in sums.items():
-            if acc:
-                qt = qts.get(id(acc))
-                if qt is None:
-                    qt = qts[id(acc)] = QT_ZERO._wrap(acc)
-                terms[exps] = qt
-        return empty._wrap(terms)
+        for exps in sums:
+            _check_exponent_vector(exps, empty.nvars)
+        return empty._wrap({exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc})
 
     @staticmethod
     def _str_term(term) -> str:

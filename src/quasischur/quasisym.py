@@ -149,7 +149,7 @@ def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
             count[pattern] = 1
         else:
             count[pattern] += 1
-            if seen is not coeff and seen._terms != coeff._terms:
+            if seen._terms != coeff._terms:
                 agree = False
     if len(set(map(sum, first))) > 1:
         raise ValueError("polynomial is not homogeneous")

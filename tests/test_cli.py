@@ -140,8 +140,8 @@ class TestFexpand:
 
     @pytest.mark.parametrize("spoiled", ["[[0,0,true]]", "[[0,0,1.0]]", "[[0.0,0,1]]"])
     def test_array_equal_to_a_read_one_is_still_checked(self, capsys, monkeypatch, spoiled):
-        # the reader shares the map of [[0,0,1]] with every entry carrying an
-        # equal array, which each of these is in Python but not in JSON
+        # each of these equals [[0,0,1]] in Python but not in JSON, so a
+        # reader that reused the map of an equal array would let it through
         text = ('{"vars":2,"terms":[{"exps":[1,0],"coeff":[[0,0,1]]},'
                 f'{{"exps":[0,1],"coeff":{spoiled}}}]}}')
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -9,7 +9,6 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur import polynomial
 from quasischur.combinatorics import Composition, compositions_of, partitions_of
 from quasischur.polynomial import QT, QT_ZERO, SparsePoly, _json_int, _json_list
 from quasischur.quasisym import Expansion, extract_f_expansion, monomial_qs_coefficients
@@ -170,14 +169,14 @@ class TestSeededDocuments:
             Expansion.from_json_dict(doc)
 
 
-# The readers read each distinct coefficient array once and share its map
-# between the entries that carry it.
+# Entries whose coefficient arrays are equal: a reader that reused the map of
+# an array it has read for an equal one would skip checks and share sums.
 
 # an array equal to [[0, 0, 1]] as a Python key, but not all ints
 NOT_ALL_INTS = [[[0, 0, True]], [[0, 0, 1.0]], [[0.0, 0, 1]]]
 
 
-class TestSharedCoefficients:
+class TestEqualCoefficientArrays:
     @pytest.mark.parametrize("spoiled", NOT_ALL_INTS, ids=["bool", "float-coeff", "float-exp"])
     def test_array_equal_to_a_read_one_is_still_checked(self, spoiled):
         poly = {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
@@ -207,22 +206,6 @@ class TestSharedCoefficients:
         e = Expansion.from_json_dict(doc)
         assert e == reference_expansion_from_json_dict(doc)
         assert dict(e.terms()) == {(1, 1): QT.integer(1)}
-
-    def test_each_distinct_array_is_read_once(self, monkeypatch):
-        reads = []
-        add_triples = polynomial._add_triples
-
-        def counted(out, triples):
-            reads.append(triples)
-            add_triples(out, triples)
-
-        monkeypatch.setattr(polynomial, "_add_triples", counted)
-        doc = schur_ssyt((3, 2, 1), 6).to_json_dict()
-        p = SparsePoly.from_json_dict(doc)
-        arrays = {json.dumps(t["coeff"]) for t in doc["terms"]}
-        assert len(doc["terms"]) > len(arrays) == len(reads)
-        assert p == schur_ssyt((3, 2, 1), 6)
-        assert len({id(c) for _, c in p.terms()}) == len(arrays)
 
 
 # Valid documents, with small numbers so that entries repeat and cancel, and

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -181,7 +182,11 @@ def _add_max_n(p: argparse.ArgumentParser) -> None:
                    help=f"size bound (default: ${ENV_MAX_N}, else {DEFAULT_MAX_N})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared after
+    that: parsing reads it and leaves it as it was, and a new namespace
+    holds each call's arguments."""
     parser = argparse.ArgumentParser(
         prog="quasischur",
         description="Exact F-to-Schur expansion conversion and related checks.",

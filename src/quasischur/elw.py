@@ -232,7 +232,9 @@ def verify_involution(alpha) -> VerificationReport:
     Each word is read once into its exponent vector gamma, a plain tuple,
     which keys every check after that: a weakly increasing word and its
     exponent vector determine each other.  Words are still what the report
-    lists.  The alternant clause compares class maps (`class_map`): the
+    lists.  Each word's involution step is computed once, into a table keyed
+    by gamma, and the round trip back from its image is read from that
+    table.  The alternant clause compares class maps (`class_map`): the
     alternant of the sum of x^(gamma + delta) against that of
     x^(alpha + delta).  The class map and `schur.straighten`, behind the
     telescoping clause, sort with a sign through the same
@@ -250,7 +252,7 @@ def verify_involution(alpha) -> VerificationReport:
     alpha_padded = tuple(pad(alpha, n))
 
     normals = {gamma: straighten(gamma) for gamma in gammas}
-    seen_pairs: set[frozenset] = set()
+    steps = {gamma: _exchange(alpha, strict, gamma) for gamma in gammas}
     signed_total: dict[tuple[int, ...], int] = {}
     sign_ok = True
     witness = None
@@ -258,20 +260,27 @@ def verify_involution(alpha) -> VerificationReport:
         a = normals[gamma]
         if not a.is_zero():
             _accumulate(signed_total, tuple(a.shape), a.sign)
-        step = _exchange(alpha, strict, gamma)
+        step = steps[gamma]
         if step is None:
             report.fixed_points.append(word)
             continue
         image = step[2]
-        back = _exchange(alpha, strict, image) if image in normals else None
+        back = steps.get(image)
         if back is None or back[2] != gamma:
             sign_ok = False
             witness = witness or word
             continue
-        pair = frozenset({gamma, image})
-        if pair in seen_pairs:
+        if image > gamma:
+            # words come in lexicographic order, so their exponent vectors
+            # decrease: the partner's word came first, and the pair was
+            # counted and checked there
             continue
-        seen_pairs.add(pair)
+        if image == gamma:
+            # a monomial can be exchanged onto itself; its straightened value
+            # is then forced to zero and it cancels alone
+            report.self_cancelling += 1
+        else:
+            report.pair_count += 1
         b = normals[image]
         cancels = (a.is_zero() and b.is_zero()) or (
             not a.is_zero()
@@ -283,10 +292,6 @@ def verify_involution(alpha) -> VerificationReport:
             sign_ok = False
             witness = witness or word
 
-    report.pair_count = sum(1 for pair in seen_pairs if len(pair) == 2)
-    # a monomial can be exchanged onto itself; its straightened value is then
-    # forced to zero and it cancels alone
-    report.self_cancelling = sum(1 for pair in seen_pairs if len(pair) == 1)
     report.unique_fixed_point = (
         len(report.fixed_points) == 1
         and _exponents(report.fixed_points[0], n) == alpha_padded

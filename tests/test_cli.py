@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur.cli import CliError, _read_document, main
+from quasischur.cli import CliError, _read_document, build_parser, main
 from quasischur.polynomial import SparsePoly
 
 
@@ -631,6 +632,58 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestParserReuse:
+    """main builds its parser on the first call in a process and reuses it."""
+
+    HLL_21 = (
+        '{"basis":"s","degree":3,"terms":[{"index":[2,1],"coeff":[[0,1,1]]},'
+        '{"index":[3],"coeff":[[0,0,1]]}]}\n'
+    )
+    FUNDAMENTAL_21 = (
+        '{"vars":3,"terms":[{"exps":[0,2,1],"coeff":[[0,0,1]]},'
+        '{"exps":[1,1,1],"coeff":[[0,0,1]]},{"exps":[2,0,1],"coeff":[[0,0,1]]},'
+        '{"exps":[2,1,0],"coeff":[[0,0,1]]}]}\n'
+    )
+
+    def test_several_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        assert run_cli(capsys, "straighten", "1,3")[:2] == (0, "-s[2,2]\n")
+        first = len(built)
+        assert first > 0
+        for argv in (["hll", "2,1"], ["verify-involution", "2,1"], ["straighten", "3,1"]):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert len(built) == first
+
+    @pytest.mark.parametrize(
+        "before, before_code, argv, want",
+        [
+            (["hll", "2,1", "--experiment"], 0, ["hll", "2,1"], HLL_21),
+            (["fundamental", "2,1", "--vars", "4"], 0, ["fundamental", "2,1"], FUNDAMENTAL_21),
+            (["hll", "2,1", "--experiment", "--text"], 2, ["hll", "2,1", "--text"],
+             "t*s[2,1] + 1*s[3]\n"),
+            (["fundamental", "2,1", "--vars", "x"], 2, ["fundamental", "2,1"], FUNDAMENTAL_21),
+        ],
+        ids=["experiment-then-expansion", "vars-then-default", "usage-error-then-text",
+             "bad-vars-then-default"],
+    )
+    def test_no_state_carries_over(self, capsys, before, before_code, argv, want):
+        try:
+            code = main(before)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        capsys.readouterr()
+        assert code == before_code
+        assert run_cli(capsys, *argv) == (0, want, "")
 
 
 class TestRecordedDigests:

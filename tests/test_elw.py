@@ -314,6 +314,46 @@ class TestVerify:
         assert report.sign_reversing is False
         assert report.witness == elw._word_from_gamma(first)
 
+    def test_sign_clause_detects_a_pair_that_does_not_cancel(self, monkeypatch):
+        # the first moved word of nonzero value comes before its partner, so
+        # the pair is checked, and its failure reported, at the first word
+        alpha = Composition((2, 2))
+        strict = set_of_composition(alpha)
+        gammas = [elw._exponents(u.word, len(u.word)) for u in constrained_monomials(alpha)]
+        first = next(
+            g for g in gammas
+            if elw._exchange(alpha, strict, g) is not None and not straighten(g).is_zero()
+        )
+        partner = elw._exchange(alpha, strict, first)[2]
+        real = elw.straighten
+        value, partner_value = real(first), real(partner)
+        assert (value.shape, value.sign) == (partner_value.shape, -partner_value.sign)
+        assert gammas.index(first) < gammas.index(partner)
+
+        def straighten_partner_like_first(gamma):
+            return real(first if gamma == partner else gamma)
+
+        monkeypatch.setattr(elw, "straighten", straighten_partner_like_first)
+        report = verify_involution(alpha)
+        assert report.sign_reversing is False
+        assert report.witness == elw._word_from_gamma(first)
+
+    def test_each_word_is_exchanged_once(self, monkeypatch):
+        calls = []
+        real = elw._exchange
+
+        def counting_exchange(alpha, strict, gamma):
+            calls.append(gamma)
+            return real(alpha, strict, gamma)
+
+        monkeypatch.setattr(elw, "_exchange", counting_exchange)
+        alphas = [a for n in range(1, 6) for a in compositions_of(n)] + [(2, 3, 3)]
+        for alpha in alphas:
+            calls.clear()
+            report = verify_involution(alpha)
+            assert report.passed(), alpha
+            assert len(calls) == report.monomial_count, alpha
+
     def test_paper_case_2_3_3(self):
         report = verify_involution((2, 3, 3))
         assert report.passed()

@@ -10,7 +10,6 @@ import json
 
 from quasischur import (
     Composition,
-    ConstrainedMonomial,
     constrained_monomials,
     involution,
     verify_involution,
@@ -19,12 +18,13 @@ from quasischur.elw import locate_block
 
 alpha = Composition((2, 3, 3))
 
-u = ConstrainedMonomial(alpha, (1, 1, 2, 2, 2, 3, 5, 5))
-step = locate_block(u)
-print(f"word {u.word}: exponents {tuple(u.gamma)}")
+word = (1, 1, 2, 2, 2, 3, 5, 5)
+step = locate_block(alpha, word)
+exponents = tuple(word.count(letter) for letter in range(1, len(word) + 1))
+print(f"word {word}: exponents {exponents}")
 print(f"  matched prefix s={step.s}, block width r={step.r}")
 print(f"  exchanged pair {step.before} -> {step.after}")
-print(f"  partner word {involution(u).word}")
+print(f"  partner word {involution(alpha, word)}")
 print()
 
 report = verify_involution(alpha)

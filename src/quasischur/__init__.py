@@ -14,9 +14,6 @@ from .combinatorics import (
     set_of_composition,
 )
 from .elw import (
-    FIXED_POINT,
-    ConstrainedMonomial,
-    FixedPoint,
     VerificationReport,
     constrained_monomials,
     elw_to_schur,
@@ -55,9 +52,6 @@ __all__ = [
     "partitions_of",
     "rsk_shape",
     "set_of_composition",
-    "FIXED_POINT",
-    "ConstrainedMonomial",
-    "FixedPoint",
     "VerificationReport",
     "constrained_monomials",
     "elw_to_schur",

@@ -125,9 +125,13 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def inverse_permutation(sigma) -> tuple[int, ...]:
-    """Inverse of a one-line permutation word over {1..n}."""
-    inv = [0] * len(sigma)
+    """Inverse of a one-line permutation word over {1..n}.  Raises ValueError
+    unless sigma holds each of 1..n once, checked as the inverse is filled."""
+    n = len(sigma)
+    inv = [0] * n
     for pos, value in enumerate(sigma, start=1):
+        if not 1 <= value <= n or inv[value - 1]:
+            raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
         inv[value - 1] = pos
     return tuple(inv)
 

@@ -7,7 +7,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator
 
-from .combinatorics import Composition, WeakComposition, pad, set_of_composition
+from .combinatorics import Composition, pad, set_of_composition
 from .polynomial import _accumulate, class_map, staircase
 from .quasisym import Expansion, _exponents, fundamental_words
 from .schur import straighten
@@ -35,29 +35,6 @@ def elw_to_schur(e: Expansion) -> Expansion:
 
 
 @dataclass(frozen=True)
-class ConstrainedMonomial:
-    """A weakly increasing word 1 <= a_1 <= ... <= a_n <= n with strict rises
-    at the descent positions of alpha, together with its exponent data."""
-
-    alpha: Composition
-    word: tuple[int, ...]
-
-    @property
-    def gamma(self) -> WeakComposition:
-        return WeakComposition(_exponents(self.word, len(self.word)))
-
-
-class FixedPoint:
-    """Sentinel returned by the involution on its unique fixed point."""
-
-    def __repr__(self) -> str:
-        return "FixedPoint"
-
-
-FIXED_POINT = FixedPoint()
-
-
-@dataclass(frozen=True)
 class InvolutionStep:
     """Block data of one involution move."""
 
@@ -67,12 +44,13 @@ class InvolutionStep:
     after: tuple[int, int]
 
 
-def constrained_monomials(alpha) -> Iterator[ConstrainedMonomial]:
-    """All words for alpha, in lexicographic order: the monomials of F_alpha
-    in n variables."""
+def constrained_monomials(alpha) -> Iterator[tuple[int, ...]]:
+    """The constrained monomials of alpha, as their words, in lexicographic
+    order: 1 <= a_1 <= ... <= a_n <= n with n = |alpha|, rising strictly at
+    each point of Set(alpha).  These are the monomials of F_alpha in n
+    variables."""
     alpha = Composition(alpha)
-    for word in fundamental_words(alpha, alpha.weight):
-        yield ConstrainedMonomial(alpha, word)
+    yield from fundamental_words(alpha, alpha.weight)
 
 
 def _word_from_gamma(gamma) -> tuple[int, ...]:
@@ -123,15 +101,13 @@ def _exchange(alpha, strict, gamma) -> tuple[int, int, tuple[int, ...]] | None:
     return s, r, tuple(image)
 
 
-def _checked_exponents(u: ConstrainedMonomial) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Set(alpha) and the exponent vector of u's word, after checking that
-    the word is in the constrained family: n = |alpha| letters in 1..n,
-    weakly increasing, with a strict rise at each point of Set(alpha).
+def _checked_exponents(alpha: Composition, word) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Set(alpha) and the exponent vector of word, after checking that word
+    is a constrained monomial of alpha: n = |alpha| letters in 1..n, weakly
+    increasing, with a strict rise at each point of Set(alpha).
 
-    ConstrainedMonomial does not check its word, since constrained_monomials
-    builds one per word of the family; a word built by hand is checked here,
-    before the kernel, which assumes the family."""
-    alpha, word = u.alpha, u.word
+    involution and locate_block take any word, so they check it here, before
+    the kernel, which assumes the family."""
     n = sum(alpha)
     strict = set_of_composition(alpha)
     if (
@@ -150,16 +126,17 @@ def _checked_exponents(u: ConstrainedMonomial) -> tuple[frozenset[int], tuple[in
     return strict, _exponents(word, n)
 
 
-def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
-    """Find s(u), r(u) and the exponent pair the involution exchanges.
+def locate_block(alpha, word) -> InvolutionStep:
+    """Find s, r and the exponent pair the involution exchanges on word.
 
     s is the longest prefix on which the exponents match alpha exactly; the
     next letter block then spans positions s+1..s+r with exponent sum
     alpha_{s+1} and a positive final exponent.  Raises ValueError on the
     fixed point and on a word outside the constrained family.
     """
-    strict, gamma = _checked_exponents(u)
-    step = _exchange(u.alpha, strict, gamma)
+    alpha = Composition(alpha)
+    strict, gamma = _checked_exponents(alpha, word)
+    step = _exchange(alpha, strict, gamma)
     if step is None:
         raise ValueError("monomial is the fixed point; no block to move")
     s, r, image = step
@@ -169,8 +146,9 @@ def locate_block(u: ConstrainedMonomial) -> InvolutionStep:
     )
 
 
-def involution(u: ConstrainedMonomial) -> ConstrainedMonomial | FixedPoint:
-    """The sign-reversing pairing on constrained monomials.
+def involution(alpha, word) -> tuple[int, ...] | None:
+    """The sign-reversing pairing on the constrained monomials of alpha:
+    the partner word of word, or None on the fixed point.
 
     The fixed point is the word whose exponent vector is alpha padded; every
     other word has the exponent pair at positions s+r-1, s+r replaced by
@@ -178,10 +156,9 @@ def involution(u: ConstrainedMonomial) -> ConstrainedMonomial | FixedPoint:
     straightened Schur value.  Raises ValueError on a word outside the
     constrained family.
     """
-    step = _exchange(u.alpha, *_checked_exponents(u))
-    if step is None:
-        return FIXED_POINT
-    return ConstrainedMonomial(u.alpha, _word_from_gamma(step[2]))
+    alpha = Composition(alpha)
+    step = _exchange(alpha, *_checked_exponents(alpha, word))
+    return None if step is None else _word_from_gamma(step[2])
 
 
 @dataclass
@@ -229,24 +206,25 @@ def verify_involution(alpha) -> VerificationReport:
     """Run all four checks: unique fixed point, sign-reversing pairing,
     telescoping of the signed Schur sum, and the alternant cross-check.
 
-    Each word is read once into its exponent vector gamma, a plain tuple,
-    which keys every check after that: a weakly increasing word and its
-    exponent vector determine each other.  Words are still what the report
-    lists.  Each word's involution step is computed once, into a table keyed
-    by gamma, and the round trip back from its image is read from that
-    table.  The alternant clause compares class maps (`class_map`): the
-    alternant of the sum of x^(gamma + delta) against that of
-    x^(alpha + delta).  The class map and `schur.straighten`, behind the
-    telescoping clause, sort with a sign through the same
-    `polynomial._sort_sign`, so the two clauses share that sort; the
-    independent n! expansion of both alternants (`antisymmetrize`) is kept
-    in the tests.
+    The words come from constrained_monomials(alpha), once, so they need
+    none of the checks involution makes on a word it is given.  Each word is
+    read once into its exponent vector gamma, a plain tuple, which keys
+    every check after that: a weakly increasing word and its exponent vector
+    determine each other.  Words are still what the report lists.  Each
+    word's involution step is computed once, into a table keyed by gamma,
+    and the round trip back from its image is read from that table.  The
+    alternant clause compares class maps (`class_map`): the alternant of the
+    sum of x^(gamma + delta) against that of x^(alpha + delta).  The class
+    map and `schur.straighten`, behind the telescoping clause, sort with a
+    sign through the same `polynomial._sort_sign`, so the two clauses share
+    that sort; the independent n! expansion of both alternants
+    (`antisymmetrize`) is kept in the tests.
     """
     alpha = Composition(alpha)
     n = alpha.weight
     strict = set_of_composition(alpha)
     report = VerificationReport(alpha=alpha)
-    words = [u.word for u in constrained_monomials(alpha)]
+    words = list(constrained_monomials(alpha))
     report.monomial_count = len(words)
     gammas = [_exponents(word, n) for word in words]
     alpha_padded = tuple(pad(alpha, n))

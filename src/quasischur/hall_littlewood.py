@@ -57,6 +57,8 @@ class Filling:
 
     def column(self, j: int) -> tuple[int, ...]:
         """Entries of column j (1-based), read top to bottom."""
+        if j < 1:
+            raise ValueError(f"columns are numbered from 1, got {j}")
         return tuple(
             self.rows[i][j - 1]
             for i in range(len(self.rows) - 1, -1, -1)
@@ -286,7 +288,10 @@ def leftover_experiment(mu) -> ExperimentReport:
 
 
 def is_schur_positive(e: Expansion) -> bool:
-    """True when every coefficient is a polynomial in t with coefficients >= 0."""
+    """True when every coefficient of the Schur expansion e is a polynomial
+    in t with coefficients >= 0."""
+    if e.basis != "s":
+        raise ValueError("input expansion must be over the s basis")
     for _, coeff in e.terms():
         if not coeff.is_q_free():
             return False

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import quasischur as qs
-from quasischur.elw import ConstrainedMonomial, locate_block
+from quasischur.elw import locate_block
 from quasischur.quasisym import Expansion
 
 from oracles import (
@@ -66,8 +66,7 @@ def test_involution_suite():
     for alpha in [(2, 3, 3), (3, 3, 2)]:
         report = qs.verify_involution(alpha)
         assert report.passed(), (alpha, report.to_json_dict())
-    u = ConstrainedMonomial(qs.Composition((2, 3, 3)), (1, 1, 2, 2, 2, 3, 5, 5))
-    step = locate_block(u)
+    step = locate_block((2, 3, 3), (1, 1, 2, 2, 2, 3, 5, 5))
     assert (step.s, step.r) == (2, 3)
     _report("involution suite: exhaustive n <= 7 plus (2,3,3) with s=2, r=3 "
             "and (3,3,2)")

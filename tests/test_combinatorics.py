@@ -200,6 +200,16 @@ class TestRsk:
             assert (pi, qi) == (q, p)
 
 
+class TestInversePermutation:
+    def test_hand_example(self):
+        assert inverse_permutation((2, 3, 1)) == (3, 1, 2)
+
+    @pytest.mark.parametrize("word", [(0, 1), (1, 1), (1, 3), (3, 1, 1), (2,)])
+    def test_refuses_a_word_that_is_not_a_permutation(self, word):
+        with pytest.raises(ValueError, match="not a permutation"):
+            inverse_permutation(word)
+
+
 def test_compositions_of_counts():
     for n in range(1, 9):
         comps = list(compositions_of(n))

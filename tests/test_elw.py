@@ -12,8 +12,6 @@ from quasischur.combinatorics import (
     set_of_composition,
 )
 from quasischur.elw import (
-    ConstrainedMonomial,
-    FixedPoint,
     constrained_monomials,
     elw_to_schur,
     involution,
@@ -58,9 +56,7 @@ def alternants_agree(alpha, words):
     antisymmetrized x^(alpha + delta)."""
     n = sum(alpha)
     delta = staircase(n)
-    summed = Counter(
-        tuple(map(add, ConstrainedMonomial(alpha, w).gamma, delta)) for w in words
-    )
+    summed = Counter(tuple(map(add, elw._exponents(w, len(w)), delta)) for w in words)
     lhs = antisymmetrize(SparsePoly(n, summed))
     rhs = antisymmetrize(monomial(n, tuple(map(add, pad(alpha, n), delta))))
     return lhs == rhs
@@ -72,7 +68,7 @@ def without_words(monkeypatch, dropped):
     monkeypatch.setattr(
         elw,
         "constrained_monomials",
-        lambda alpha: (u for u in full(alpha) if u.word not in dropped),
+        lambda alpha: (w for w in full(alpha) if w not in dropped),
     )
 
 
@@ -105,37 +101,34 @@ class TestElwToSchur:
 
 class TestConstrainedMonomials:
     def test_alpha_2(self):
-        words = [u.word for u in constrained_monomials((2,))]
+        words = list(constrained_monomials((2,)))
         assert words == [(1, 1), (1, 2), (2, 2)]
 
     def test_alpha_11(self):
-        words = [u.word for u in constrained_monomials((1, 1))]
+        words = list(constrained_monomials((1, 1)))
         assert words == [(1, 2)]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_words_are_fundamental_monomials_in_n_variables(self, n):
         for alpha in compositions_of(n):
-            words = [u.word for u in constrained_monomials(alpha)]
+            words = list(constrained_monomials(alpha))
             assert words == reference_words(alpha, n)
 
     def test_paper_word_appears(self):
-        words = {u.word for u in constrained_monomials((2, 3, 3))}
+        words = set(constrained_monomials((2, 3, 3)))
         assert (1, 1, 2, 2, 2, 3, 5, 5) in words
 
     def test_gamma(self):
-        u = ConstrainedMonomial(Composition((2, 3, 3)), (1, 1, 2, 2, 2, 3, 5, 5))
-        assert tuple(u.gamma) == (2, 3, 1, 0, 2, 0, 0, 0)
+        w = (1, 1, 2, 2, 2, 3, 5, 5)
+        assert elw._exponents(w, len(w)) == (2, 3, 1, 0, 2, 0, 0, 0)
 
 
 class TestInvolution:
     def test_fixed_point(self):
-        alpha = Composition((2, 1))
-        fixed = ConstrainedMonomial(alpha, (1, 1, 2))
-        assert isinstance(involution(fixed), FixedPoint)
+        assert involution((2, 1), (1, 1, 2)) is None
 
     def test_paper_block_structure(self):
-        u = ConstrainedMonomial(Composition((2, 3, 3)), (1, 1, 2, 2, 2, 3, 5, 5))
-        step = locate_block(u)
+        step = locate_block((2, 3, 3), (1, 1, 2, 2, 2, 3, 5, 5))
         assert (step.s, step.r) == (2, 3)
         assert step.before == (0, 2)
         assert step.after == (1, 1)
@@ -143,33 +136,33 @@ class TestInvolution:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_involutive_and_closed(self, n):
         for alpha in compositions_of(n):
-            for u in constrained_monomials(alpha):
-                image = involution(u)
-                if isinstance(image, FixedPoint):
-                    assert tuple(u.gamma) == tuple(pad(alpha, n))
+            for w in constrained_monomials(alpha):
+                image = involution(alpha, w)
+                if image is None:
+                    assert elw._exponents(w, len(w)) == tuple(pad(alpha, n))
                     continue
                 # closure re-validated inside involution; also block data
-                assert locate_block(image).s == locate_block(u).s
-                assert locate_block(image).r == locate_block(u).r
-                back = involution(image)
-                assert not isinstance(back, FixedPoint)
-                assert back.word == u.word
+                assert locate_block(alpha, image).s == locate_block(alpha, w).s
+                assert locate_block(alpha, image).r == locate_block(alpha, w).r
+                back = involution(alpha, image)
+                assert back is not None
+                assert back == w
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_kernel_matches_wrappers_and_reference(self, n):
         for alpha in compositions_of(n):
             strict = set_of_composition(alpha)
-            for u in constrained_monomials(alpha):
-                step = elw._exchange(alpha, strict, elw._exponents(u.word, len(u.word)))
-                expected = reference_involution(alpha, u.word)
-                image = involution(u)
+            for w in constrained_monomials(alpha):
+                step = elw._exchange(alpha, strict, elw._exponents(w, len(w)))
+                expected = reference_involution(alpha, w)
+                image = involution(alpha, w)
                 if step is None:
                     assert expected is None
-                    assert isinstance(image, FixedPoint)
+                    assert image is None
                     continue
                 s, r, gamma = step
-                assert elw._word_from_gamma(gamma) == expected == image.word
-                block = locate_block(u)
+                assert elw._word_from_gamma(gamma) == expected == image
+                block = locate_block(alpha, w)
                 assert (block.s, block.r) == (s, r)
                 assert block.after == gamma[s + r - 2 : s + r]
 
@@ -185,9 +178,8 @@ class TestInvolution:
     def test_kernel_checks_raise(self, alpha, word, error, message):
         # words outside the family: each check of the kernel fires, and
         # the public wrappers refuse the word before the kernel sees it
-        u = ConstrainedMonomial(Composition(alpha), word)
         with pytest.raises(ValueError, match="not a constrained monomial"):
-            involution(u)
+            involution(alpha, word)
         with pytest.raises(error, match=message):
             elw._exchange(alpha, set_of_composition(alpha), elw._exponents(word, len(word)))
 
@@ -204,25 +196,24 @@ class TestInvolution:
         ],
     )
     def test_wrappers_refuse_a_word_outside_the_family(self, alpha, word):
-        u = ConstrainedMonomial(Composition(alpha), word)
         with pytest.raises(ValueError, match="not a constrained monomial"):
-            involution(u)
+            involution(alpha, word)
         with pytest.raises(ValueError, match="not a constrained monomial"):
-            locate_block(u)
+            locate_block(alpha, word)
 
     def test_locate_block_refuses_the_fixed_point(self):
         with pytest.raises(ValueError, match="fixed point"):
-            locate_block(ConstrainedMonomial(Composition((2, 1)), (1, 1, 2)))
+            locate_block((2, 1), (1, 1, 2))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pairs_cancel(self, n):
         for alpha in compositions_of(n):
-            for u in constrained_monomials(alpha):
-                image = involution(u)
-                if isinstance(image, FixedPoint):
+            for w in constrained_monomials(alpha):
+                image = involution(alpha, w)
+                if image is None:
                     continue
-                a = straighten(u.gamma)
-                b = straighten(image.gamma)
+                a = straighten(elw._exponents(w, len(w)))
+                b = straighten(elw._exponents(image, len(image)))
                 if a.is_zero():
                     assert b.is_zero()
                 else:
@@ -250,7 +241,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_polynomial_clause_matches_antisymmetrize(self, n):
         for alpha in compositions_of(n):
-            words = [u.word for u in constrained_monomials(alpha)]
+            words = list(constrained_monomials(alpha))
             report = verify_involution(alpha)
             assert report.polynomial_check == alternants_agree(alpha, words), alpha
 
@@ -260,7 +251,7 @@ class TestVerify:
     ):
         verdicts = set()
         for alpha in compositions_of(n):
-            words = [u.word for u in constrained_monomials(alpha)]
+            words = list(constrained_monomials(alpha))
             for dropped in words:
                 with monkeypatch.context() as m:
                     without_words(m, {dropped})
@@ -296,7 +287,7 @@ class TestVerify:
         # zero, so the pair cancels and only the round trip back can fail
         alpha = Composition((3, 1))
         strict = set_of_composition(alpha)
-        gammas = [elw._exponents(u.word, len(u.word)) for u in constrained_monomials(alpha)]
+        gammas = [elw._exponents(w, len(w)) for w in constrained_monomials(alpha)]
         moved = [g for g in gammas if elw._exchange(alpha, strict, g) is not None]
         first, partner = moved[0], elw._exchange(alpha, strict, moved[0])[2]
         elsewhere = next(
@@ -319,7 +310,7 @@ class TestVerify:
         # the pair is checked, and its failure reported, at the first word
         alpha = Composition((2, 2))
         strict = set_of_composition(alpha)
-        gammas = [elw._exponents(u.word, len(u.word)) for u in constrained_monomials(alpha)]
+        gammas = [elw._exponents(w, len(w)) for w in constrained_monomials(alpha)]
         first = next(
             g for g in gammas
             if elw._exchange(alpha, strict, g) is not None and not straighten(g).is_zero()
@@ -380,7 +371,7 @@ class TestVerify:
         monkeypatch.setattr(
             elw,
             "constrained_monomials",
-            lambda alpha: (u for u in full(alpha) if u.word != (1, 1, 2)),
+            lambda alpha: (w for w in full(alpha) if w != (1, 1, 2)),
         )
         report = verify_involution((2, 1))
         assert report.monomial_count == 3

@@ -152,6 +152,13 @@ class TestFilling:
         assert f.column(1) == (3, 1)
         assert f.column(2) == (4, 2)
 
+    def test_column_refuses_an_index_below_1(self):
+        # column(0) would read rows[i][-1], the last cell of each row, which
+        # are cells of different columns
+        f = Filling.from_reading_word((2, 1), (3, 1, 2))
+        with pytest.raises(ValueError, match="numbered from 1"):
+            f.column(0)
+
 
 class TestMaj:
     def test_descent_column(self):
@@ -190,6 +197,11 @@ class TestPides:
 
     def test_reverse(self):
         assert pides((4, 3, 2, 1)) == Composition((1, 1, 1, 1))
+
+    @pytest.mark.parametrize("word", [(1, 1), (0, 1), (1, 3), (2, 2, 1)])
+    def test_refuses_a_word_that_is_not_a_permutation(self, word):
+        with pytest.raises(ValueError, match="not a permutation"):
+            pides(word)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_is_the_descent_composition_of_p(self, n):
@@ -326,6 +338,18 @@ class TestExpansions:
             e = hll_expansion(mu)
             assert is_schur_positive(e), (mu, e)
             assert e.coefficient((n,)) == QT.integer(1)
+
+    def test_schur_positive_refuses_a_q_term(self):
+        e = Expansion("s", 2, {(2,): T + T, (1, 1): Q * T})
+        assert not is_schur_positive(e)
+
+    def test_schur_positive_refuses_a_negative_coefficient(self):
+        e = Expansion("s", 3, {(3,): 1 + T, (2, 1): T * T - T})
+        assert not is_schur_positive(e)
+
+    def test_schur_positive_refuses_the_f_basis(self):
+        with pytest.raises(ValueError, match="s basis"):
+            is_schur_positive(hl_fundamental_expansion((2, 1)))
 
 
 class TestCocharge:

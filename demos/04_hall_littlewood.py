@@ -6,20 +6,20 @@ t-coefficients; every coefficient comes out non-negative.
 """
 
 from quasischur import (
-    Filling,
+    hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
-    maj_stat,
     partitions_of,
-    pides,
 )
 
 mu = (2, 2)
-print(f"inversion-free fillings of {mu}:")
-# the walk yields reading words (top row first); Filling gives the rows
-for sigma in inv_zero_fillings(mu):
-    f = Filling.from_reading_word(mu, sigma)
-    print(f"  rows={f.rows}  word={sigma}  maj={maj_stat(f)}  pides={tuple(pides(sigma))}")
+print(f"inversion-free fillings of {mu}, as reading words (top row first):")
+for sigma in sorted(inv_zero_fillings(mu)):
+    print(f"  {sigma}")
+
+print()
+print(f"the sum of t^maj F_pides over them, for mu={mu}:")
+print(" ", hl_fundamental_expansion(mu))
 
 print()
 print(f"Schur expansion for mu={mu}:")

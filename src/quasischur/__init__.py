@@ -22,14 +22,11 @@ from .elw import (
 )
 from .hall_littlewood import (
     ExperimentReport,
-    Filling,
     hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
     is_schur_positive,
     leftover_experiment,
-    maj_stat,
-    pides,
 )
 from .polynomial import QT, SparsePoly
 from .quasisym import (
@@ -58,14 +55,11 @@ __all__ = [
     "involution",
     "verify_involution",
     "ExperimentReport",
-    "Filling",
     "hl_fundamental_expansion",
     "hll_expansion",
     "inv_zero_fillings",
     "is_schur_positive",
     "leftover_experiment",
-    "maj_stat",
-    "pides",
     "QT",
     "SparsePoly",
     "Expansion",

@@ -124,23 +124,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition((first,) + tuple(rest))
 
 
-def inverse_permutation(sigma) -> tuple[int, ...]:
-    """Inverse of a one-line permutation word over {1..n}.  Raises ValueError
-    unless sigma holds each of 1..n once, checked as the inverse is filled."""
-    n = len(sigma)
-    inv = [0] * n
-    for pos, value in enumerate(sigma, start=1):
-        if not 1 <= value <= n or inv[value - 1]:
-            raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
-        inv[value - 1] = pos
-    return tuple(inv)
-
-
-def descent_set(word) -> frozenset[int]:
-    """Positions i with word[i] > word[i+1] (1-indexed)."""
-    return frozenset(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
-
-
 def rsk_shape(sigma) -> Partition:
     """Shape of the Schensted tableaux of a permutation word.
 

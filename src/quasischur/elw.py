@@ -76,7 +76,12 @@ def _exchange(alpha, strict, gamma) -> tuple[int, int, tuple[int, ...]] | None:
         s += 1
     if s == k:
         if any(gamma[k:]):
-            raise ValueError("monomial is the fixed point; no block to move")
+            # gamma matches alpha on its first k exponents, so any letter
+            # past k makes its weight exceed |alpha|
+            raise ValueError(
+                f"exponent vector {tuple(gamma)} is not in the constrained family "
+                f"of {tuple(alpha)}"
+            )
         return None
     target = alpha[s]
     acc = 0

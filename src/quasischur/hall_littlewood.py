@@ -9,73 +9,11 @@ from itertools import chain, combinations, compress, permutations, repeat
 from operator import add, gt, itemgetter
 from typing import Iterable, Iterator
 
-from .combinatorics import (
-    Composition,
-    Partition,
-    composition_of_set,
-    descent_set,
-    inverse_permutation,
-    rsk_shape,
-)
+from .combinatorics import Partition, composition_of_set, rsk_shape
 from .elw import elw_to_schur
 from .polynomial import QT
 from .quasisym import Expansion
 from .schur import straighten
-
-@dataclass(frozen=True)
-class Filling:
-    """Bijective filling of the French Ferrers diagram of a partition.
-
-    rows[0] is the bottom row (the longest); rows shrink upward.  The reading
-    word lists rows top to bottom, each left to right.
-    """
-
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if tuple(map(len, self.rows)) != tuple(self.shape):
-            raise ValueError("row lengths do not match the shape")
-        n = self.shape.weight
-        if sorted(chain.from_iterable(self.rows)) != list(range(1, n + 1)):
-            raise ValueError("entries must be a bijection onto 1..n")
-
-    @classmethod
-    def from_reading_word(cls, shape, word) -> "Filling":
-        shape = Partition(shape)
-        word = tuple(word)
-        rows: list[tuple[int, ...]] = []
-        pos = 0
-        for length in reversed(shape):  # reading starts at the top row
-            rows.append(word[pos : pos + length])
-            pos += length
-        return cls(shape, tuple(reversed(rows)))
-
-    @property
-    def reading_word(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(reversed(self.rows)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Entries of column j (1-based), read top to bottom."""
-        if j < 1:
-            raise ValueError(f"columns are numbered from 1, got {j}")
-        return tuple(
-            self.rows[i][j - 1]
-            for i in range(len(self.rows) - 1, -1, -1)
-            if self.shape[i] >= j
-        )
-
-
-def maj_stat(f: Filling) -> int:
-    """Sum over columns of the major index of the top-to-bottom column word."""
-    width = f.shape[0] if f.shape else 0
-    return sum(sum(descent_set(f.column(j))) for j in range(1, width + 1))
-
-
-def pides(sigma) -> Composition:
-    """Descent composition of the inverse permutation."""
-    sigma = tuple(sigma)
-    return composition_of_set(descent_set(inverse_permutation(sigma)), len(sigma))
 
 
 def _force_row(row_below: tuple[int, ...], entries: Iterable[int]) -> tuple[int, ...]:
@@ -93,7 +31,7 @@ def _force_row(row_below: tuple[int, ...], entries: Iterable[int]) -> tuple[int,
 def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     """The reading word of one inversion-free filling per ordered set
     decomposition of {1..n}: a plain tuple listing the rows top to bottom,
-    each left to right, as Filling.reading_word does.
+    each left to right.
 
     A depth-first walk from the bottom row up: level i picks row i's entries
     from the values not yet used.  The bottom row holds its entries in
@@ -153,9 +91,10 @@ def _census(mu: Partition) -> Iterator[tuple[tuple[bool, ...], int, tuple]]:
     """(mask, maj, word) for each reading word of inv_zero_fillings(mu), the
     one reading of the filling statistics behind every expansion here.
 
-    mask[i] is whether i + 1 is a descent of word^-1, so the pides of word is
-    _mask_composition(mask, n); maj is maj_stat of the filling.  Each is read
-    off the word in one pass: the mask from the positions of i and i + 1, maj
+    mask[i] is whether i + 1 is a descent of word^-1, so the descent
+    composition of word^-1 (pides) is _mask_composition(mask, n); maj is the
+    sum over the columns of the major index of each column read top to
+    bottom.  Each is read off the word in one pass: the mask from the positions of i and i + 1, maj
     from the positions of the vertically adjacent cells."""
     # the cell in column j of row r (0 = bottom) sits at position
     # starts[r] + j of the reading word, which lists the rows top down, and a
@@ -191,8 +130,8 @@ def hl_fundamental_expansion(mu) -> Expansion:
     specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
 
     The fillings are counted per descent mask and maj off _census, as in
-    leftover_experiment.  The tests check this sum against maj_stat and pides
-    over an independent walk, and against cocharge through hll_expansion."""
+    leftover_experiment.  The tests check this sum against their reference
+    maj_stat and pides over an independent walk, and against cocharge through hll_expansion."""
     mu = Partition(mu)
     n = mu.weight
     census: dict = defaultdict(Counter)  # mask -> maj -> filling count

@@ -4,7 +4,9 @@ Each is a slow, direct evaluation that a faster or division-free route in the
 package is compared against: the n!-expanding antisymmetrizer, ordered set
 decompositions, Robinson-Schensted insertion with both tableaux, one step of
 the exchange rule, monomial quasisymmetric polynomials, expansions evaluated
-as polynomials, symmetry by swapping variables, the symmetry of the
+as polynomials, symmetry by swapping variables, the textbook filling
+statistics (Filling, maj_stat and pides, with inverse_permutation and
+descent_set) that the package's census is read against, the symmetry of the
 inversion-free filling sum, the full Haglund filling sum, and the
 Hall-Littlewood Schur expansion by cocharge.
 
@@ -16,6 +18,7 @@ and variables, the product and the product by a scalar.
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import factorial
@@ -26,9 +29,10 @@ from quasischur.combinatorics import (
     Composition,
     Partition,
     WeakComposition,
+    composition_of_set,
     permutation_sign,
 )
-from quasischur.hall_littlewood import Filling, hl_fundamental_expansion, maj_stat, pides
+from quasischur.hall_littlewood import hl_fundamental_expansion
 from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt, _sort_sign
 from quasischur.quasisym import Expansion, fundamental, is_symmetric_expansion
 from quasischur.schur import schur_ssyt
@@ -201,6 +205,23 @@ def rsk_insert(sigma) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
     return freeze(p_rows), freeze(q_rows)
 
 
+def inverse_permutation(sigma) -> tuple[int, ...]:
+    """Inverse of a one-line permutation word over {1..n}.  Raises ValueError
+    unless sigma holds each of 1..n once, checked as the inverse is filled."""
+    n = len(sigma)
+    inv = [0] * n
+    for pos, value in enumerate(sigma, start=1):
+        if not 1 <= value <= n or inv[value - 1]:
+            raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{n}")
+        inv[value - 1] = pos
+    return tuple(inv)
+
+
+def descent_set(word) -> frozenset[int]:
+    """Positions i with word[i] > word[i+1] (1-indexed)."""
+    return frozenset(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+
+
 # Schur functions and quasisymmetric expansions
 
 
@@ -242,6 +263,65 @@ def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:
 
 
 # diagram fillings
+
+
+@dataclass(frozen=True)
+class Filling:
+    """Bijective filling of the French Ferrers diagram of a partition.
+
+    rows[0] is the bottom row (the longest); rows shrink upward.  The reading
+    word lists rows top to bottom, each left to right.
+    """
+
+    shape: Partition
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if tuple(map(len, self.rows)) != tuple(self.shape):
+            raise ValueError("row lengths do not match the shape")
+        n = self.shape.weight
+        if sorted(chain.from_iterable(self.rows)) != list(range(1, n + 1)):
+            raise ValueError("entries must be a bijection onto 1..n")
+
+    @classmethod
+    def from_reading_word(cls, shape, word) -> "Filling":
+        shape = Partition(shape)
+        word = tuple(word)
+        rows: list[tuple[int, ...]] = []
+        pos = 0
+        for length in reversed(shape):  # reading starts at the top row
+            rows.append(word[pos : pos + length])
+            pos += length
+        return cls(shape, tuple(reversed(rows)))
+
+    @property
+    def reading_word(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(reversed(self.rows)))
+
+    def column(self, j: int) -> tuple[int, ...]:
+        """Entries of column j (1-based), read top to bottom.  Raises
+        ValueError unless the bottom row has a cell in column j."""
+        width = self.shape[0] if self.shape else 0
+        if not 1 <= j <= width:
+            raise ValueError(f"columns are numbered from 1 to {width}, got {j}")
+        return tuple(
+            self.rows[i][j - 1]
+            for i in range(len(self.rows) - 1, -1, -1)
+            if self.shape[i] >= j
+        )
+
+
+def maj_stat(f: Filling) -> int:
+    """Sum over columns of the major index of the top-to-bottom column word."""
+    width = f.shape[0] if f.shape else 0
+    return sum(sum(descent_set(f.column(j))) for j in range(1, width + 1))
+
+
+def pides(sigma) -> Composition:
+    """Descent composition of the inverse permutation."""
+    sigma = tuple(sigma)
+    return composition_of_set(descent_set(inverse_permutation(sigma)), len(sigma))
+
 
 
 def symmetry_check(mu) -> bool:

@@ -23,6 +23,7 @@ from oracles import (
     scalar_mul,
     zero,
 )
+from spawn import child_env
 
 
 def _report(name):
@@ -129,6 +130,7 @@ def test_cli_determinism():
                 [sys.executable, "-m", "quasischur"] + argv,
                 capture_output=True,
                 check=True,
+                env=child_env(),
             ).stdout
             for _ in range(2)
         ]

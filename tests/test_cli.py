@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from quasischur.cli import CliError, _read_document, build_parser, main
 from quasischur.polynomial import SparsePoly
 
+from spawn import SRC, child_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -284,6 +286,7 @@ class TestToSchur:
             input=json.dumps(doc, separators=(",", ":")).encode(),
             capture_output=True,
             timeout=30,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode() == f"1*s[{','.join(map(str, index))}]\n"
@@ -628,10 +631,24 @@ class TestDeterminism:
                 [sys.executable, "-m", "quasischur"] + argv,
                 capture_output=True,
                 check=True,
+                env=child_env(),
             ).stdout
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestChildProcesses:
+    def test_children_import_this_checkout(self):
+        # the CLI tests run this checkout's src/, never a stale installed copy
+        proc = subprocess.run(
+            [sys.executable, "-c", "import quasischur; print(quasischur.__file__)"],
+            capture_output=True,
+            check=True,
+            text=True,
+            env=child_env(),
+        )
+        assert Path(proc.stdout.strip()).resolve().parent == SRC / "quasischur"
 
 
 class TestParserReuse:
@@ -727,15 +744,17 @@ class TestEarlyStdoutClose:
     def test_reader_closing_early_is_not_a_crash(self):
         # about 240 kB of JSON, more than a pipe buffers, so the writer meets
         # the closed pipe whatever the timing
-        proc = subprocess.Popen(
+        # the with block closes the pipes and reaps the child on a failed
+        # assertion too
+        with subprocess.Popen(
             [sys.executable, "-m", "quasischur", "fundamental", "3,3",
              "--vars", "12", "--max-n", "12"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.read(10) == b'{"vars":12'
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) in (0, 2, 3)
+            env=child_env(),
+        ) as proc:
+            assert proc.stdout.read(10) == b'{"vars":12'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) in (0, 2, 3)
         assert b"Traceback" not in err

@@ -9,7 +9,6 @@ from quasischur.combinatorics import (
     WeakComposition,
     composition_of_set,
     compositions_of,
-    inverse_permutation,
     pad,
     partitions_of,
     permutation_sign,
@@ -17,7 +16,7 @@ from quasischur.combinatorics import (
     set_of_composition,
 )
 
-from oracles import decomposition_count, decompositions, rsk_insert
+from oracles import decomposition_count, decompositions, inverse_permutation, rsk_insert
 
 compositions = st.integers(1, 7).flatmap(
     lambda n: st.sampled_from(list(compositions_of(n)))

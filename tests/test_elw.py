@@ -173,6 +173,8 @@ class TestInvolution:
             ((3,), (1, 2), AssertionError, "expected a split block, got r=0"),
             ((1, 1, 1), (2, 3, 3), ValueError, "left the constrained family"),
             ((2,), (1, 2, 3), ValueError, "left the constrained family"),
+            # matches alpha, then one letter too many: not the fixed point
+            ((1, 1), (1, 2, 3), ValueError, "is not in the constrained family"),
         ],
     )
     def test_kernel_checks_raise(self, alpha, word, error, message):

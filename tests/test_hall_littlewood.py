@@ -6,8 +6,6 @@ from quasischur.combinatorics import (
     Composition,
     Partition,
     composition_of_set,
-    descent_set,
-    inverse_permutation,
     pad,
     partitions_of,
     rsk_shape,
@@ -15,7 +13,6 @@ from quasischur.combinatorics import (
 from quasischur import hall_littlewood
 from quasischur.hall_littlewood import (
     ExperimentReport,
-    Filling,
     _census,
     _force_row,
     _mask_composition,
@@ -24,8 +21,6 @@ from quasischur.hall_littlewood import (
     inv_zero_fillings,
     is_schur_positive,
     leftover_experiment,
-    maj_stat,
-    pides,
 )
 from quasischur.elw import elw_to_schur
 from quasischur.polynomial import QT, QT_ZERO, Q, T
@@ -33,14 +28,19 @@ from quasischur.quasisym import Expansion
 from quasischur.schur import straighten
 
 from oracles import (
+    Filling,
     _counterclockwise,
     all_fillings,
     charge,
     cocharge_expansion,
     decomposition_count,
     decompositions,
+    descent_set,
     haglund_expansion,
     inv_stat,
+    inverse_permutation,
+    maj_stat,
+    pides,
     rsk_insert,
     symmetry_check,
 )
@@ -152,12 +152,14 @@ class TestFilling:
         assert f.column(1) == (3, 1)
         assert f.column(2) == (4, 2)
 
-    def test_column_refuses_an_index_below_1(self):
+    @pytest.mark.parametrize("j", [0, 3, 7])
+    def test_column_refuses_an_index_off_the_shape(self, j):
         # column(0) would read rows[i][-1], the last cell of each row, which
-        # are cells of different columns
+        # are cells of different columns; a column past the bottom row's
+        # length would read as empty
         f = Filling.from_reading_word((2, 1), (3, 1, 2))
         with pytest.raises(ValueError, match="numbered from 1"):
-            f.column(0)
+            f.column(j)
 
 
 class TestMaj:

@@ -208,22 +208,18 @@ class VerificationReport:
 
 
 def verify_involution(alpha) -> VerificationReport:
-    """Run all four checks: unique fixed point, sign-reversing pairing,
-    telescoping of the signed Schur sum, and the alternant cross-check.
+    """Run the four checks on the constrained monomials of alpha:
 
-    The words come from constrained_monomials(alpha), once, so they need
-    none of the checks involution makes on a word it is given.  Each word is
-    read once into its exponent vector gamma, a plain tuple, which keys
-    every check after that: a weakly increasing word and its exponent vector
-    determine each other.  Words are still what the report lists.  Each
-    word's involution step is computed once, into a table keyed by gamma,
-    and the round trip back from its image is read from that table.  The
-    alternant clause compares class maps (`class_map`): the alternant of the
-    sum of x^(gamma + delta) against that of x^(alpha + delta).  The class
-    map and `schur.straighten`, behind the telescoping clause, sort with a
-    sign through the same `polynomial._sort_sign`, so the two clauses share
-    that sort; the independent n! expansion of both alternants
-    (`antisymmetrize`) is kept in the tests.
+    - unique_fixed_point: the only word the involution fixes is the one with
+      exponent vector alpha padded;
+    - sign_reversing: the involution is an involution, and each pair, or
+      self-cancelling word, has straightened values of opposite sign and equal
+      shape, or both zero;
+    - telescopes: the straightened values sum to that of alpha padded;
+    - polynomial_check: the alternant of the sum of x^(gamma + delta) equals
+      that of x^(alpha + delta), compared as class maps (`class_map`).
+
+    The witness is the first word at which the sign_reversing clause fails.
     """
     alpha = Composition(alpha)
     n = alpha.weight
@@ -231,14 +227,14 @@ def verify_involution(alpha) -> VerificationReport:
     report = VerificationReport(alpha=alpha)
     words = list(constrained_monomials(alpha))
     report.monomial_count = len(words)
+    # a weakly increasing word and its exponent vector determine each other,
+    # so the exponent vectors key every check after this
     gammas = [_exponents(word, n) for word in words]
     alpha_padded = tuple(pad(alpha, n))
 
     normals = {gamma: straighten(gamma) for gamma in gammas}
     steps = {gamma: _exchange(alpha, strict, gamma) for gamma in gammas}
     signed_total: dict[tuple[int, ...], int] = {}
-    sign_ok = True
-    witness = None
     for word, gamma in zip(words, gammas):
         a = normals[gamma]
         if not a.is_zero():
@@ -250,52 +246,30 @@ def verify_involution(alpha) -> VerificationReport:
         image = step[2]
         back = steps.get(image)
         if back is None or back[2] != gamma:
-            sign_ok = False
-            witness = witness or word
-            continue
-        if image > gamma:
+            report.witness = report.witness or word
+        elif image <= gamma:
             # words come in lexicographic order, so their exponent vectors
-            # decrease: the partner's word came first, and the pair was
-            # counted and checked there
-            continue
-        if image == gamma:
-            # a monomial can be exchanged onto itself; its straightened value
-            # is then forced to zero and it cancels alone
-            report.self_cancelling += 1
-        else:
-            report.pair_count += 1
-        b = normals[image]
-        cancels = (a.is_zero() and b.is_zero()) or (
-            not a.is_zero()
-            and not b.is_zero()
-            and a.shape == b.shape
-            and a.sign == -b.sign
-        )
-        if not cancels:
-            sign_ok = False
-            witness = witness or word
+            # decrease: a pair is checked at its earlier word, and a word
+            # exchanged onto itself, whose value is then forced to zero,
+            # cancels alone
+            if image == gamma:
+                report.self_cancelling += 1
+            else:
+                report.pair_count += 1
+            b = normals[image]
+            if (b.sign, b.shape) != (-a.sign, a.shape):
+                report.witness = report.witness or word
 
-    report.unique_fixed_point = (
-        len(report.fixed_points) == 1
-        and _exponents(report.fixed_points[0], n) == alpha_padded
-    )
-    report.sign_reversing = sign_ok
-
+    report.unique_fixed_point = [_exponents(w, n) for w in report.fixed_points] == [alpha_padded]
+    report.sign_reversing = report.witness is None
     target = straighten(alpha_padded)
-    if target.is_zero():
-        report.telescopes = not signed_total
-    else:
-        report.telescopes = signed_total == {tuple(target.shape): target.sign}
+    expected = {} if target.is_zero() else {tuple(target.shape): target.sign}
+    report.telescopes = signed_total == expected
 
-    # polynomial route, through class maps rather than the straightened
-    # values: the alternant of the monomial sum must be s_alpha * a_delta, the
-    # alternant of x^(alpha + delta); a_delta is a nonzerodivisor, so comparing
-    # the two alternants needs no division
+    # a_delta is a nonzerodivisor, so comparing the two alternants needs no
+    # division by it
     delta = staircase(n)
     lhs = class_map((tuple(map(add, gamma, delta)), 1) for gamma in gammas)
     rhs = class_map([(tuple(map(add, alpha_padded, delta)), 1)])
     report.polynomial_check = lhs == rhs
-
-    if not report.passed() and witness:
-        report.witness = witness
     return report

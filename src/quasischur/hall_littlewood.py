@@ -184,7 +184,10 @@ def leftover_experiment(mu) -> ExperimentReport:
     The fillings come from _census, as in hl_fundamental_expansion.  Each
     descent mask is straightened once, and the fillings are counted per mask
     and maj; the class counts and both expansions are read off that census
-    after the walk."""
+    after the walk.  Both Schur sides are elw_to_schur of an F-expansion: the
+    true side of every filling's t^maj F_pides, and the conjectured side of
+    the kept fillings' alone, whose F_pides each straighten to plus the Schur
+    function of their Schensted shape."""
     mu = Partition(mu)
     n = mu.weight
     # mask -> (pides, straightened Schur value, maj -> filling count,
@@ -200,26 +203,26 @@ def leftover_experiment(mu) -> ExperimentReport:
         majs[maj] = majs.get(maj, 0) + 1
         if kept_majs is not None and rsk_shape(sigma) == normal.shape:
             kept_majs[maj] = kept_majs.get(maj, 0) + 1
-    counts = {"zero": 0, "minus": 0, "plus": 0}
-    # shape -> maj -> kept filling count
-    kept_census: dict[tuple[int, ...], Counter] = {}
-    for _, normal, majs, kept_majs in by_mask.values():
-        sign_class = "zero" if normal.is_zero() else "minus" if normal.sign < 0 else "plus"
-        counts[sign_class] += sum(majs.values())
+    counts = {0: 0, -1: 0, 1: 0}  # sign of the straightened value -> filling count
+    kept_count = 0
+    f_terms, kept_terms = {}, {}
+    for index, normal, majs, kept_majs in by_mask.values():
+        counts[normal.sign] += sum(majs.values())
+        f_terms[index] = _t_polynomial(majs)
         if kept_majs:
-            kept_census.setdefault(tuple(normal.shape), Counter()).update(kept_majs)
-    conjectured = Expansion("s", n, {shape: _t_polynomial(m) for shape, m in kept_census.items()})
+            kept_count += sum(kept_majs.values())
+            kept_terms[index] = _t_polynomial(kept_majs)
     # the F-to-s replacement is linear, so this walk's F-expansion gives the
     # true expansion without walking the fillings again in hll_expansion
-    f_terms = {index: _t_polynomial(m) for index, _, m, _ in by_mask.values()}
     true_expansion = elw_to_schur(Expansion("F", n, f_terms))
+    conjectured = elw_to_schur(Expansion("F", n, kept_terms))
     return ExperimentReport(
         mu=mu,
         filling_count=sum(counts.values()),
-        zero_count=counts["zero"],
-        minus_count=counts["minus"],
-        plus_count=counts["plus"],
-        kept_count=sum(sum(m.values()) for m in kept_census.values()),
+        zero_count=counts[0],
+        minus_count=counts[-1],
+        plus_count=counts[1],
+        kept_count=kept_count,
         conjectured=conjectured,
         true_expansion=true_expansion,
         discrepancy=true_expansion - conjectured,

@@ -351,8 +351,8 @@ def _sort_sign(exps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Sort an exponent vector into decreasing order, tracking the sign.
 
     This is the one signed sort of the package: `class_map` sorts exponent
-    vectors with it, `schur.straighten` its shifted vector, and the tests'
-    n!-expanding antisymmetrizer its grouping step.
+    vectors with it, and `schur.straighten` its shifted vector.  The tests'
+    n!-expanding antisymmetrizer counts its signs without it.
     """
     order = sorted(range(len(exps)), key=lambda i: -exps[i])
     return tuple(exps[i] for i in order), permutation_sign(order)

@@ -1,0 +1,91 @@
+"""Committed mutants: deliberate faults that the suite must catch.
+
+Each entry is a literal substitution in one source file, `old` -> `new`, and
+the ids of the tests that must fail with it applied.  `old` must occur exactly
+once in the file, so an entry whose text the code has outgrown fails loudly
+instead of passing with no mutation in place.  test_mutants.py applies each
+entry to a copy of the checkout and runs the listed tests there.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the checkout
+    old: str
+    new: str
+    test_ids: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        # the signed sort goes wrong on a sliver of 5-entry vectors only, so
+        # only the n! oracle's comparisons at n = 5 see it
+        name="sort-sign-flipped-at-5",
+        file="src/quasischur/polynomial.py",
+        old="    return tuple(exps[i] for i in order), permutation_sign(order)\n",
+        new=(
+            "    flip = -1 if len(exps) == 5 and exps[0] < exps[4] else 1\n"
+            "    return tuple(exps[i] for i in order), flip * permutation_sign(order)\n"
+        ),
+        test_ids=(
+            "tests/test_schur.py::TestOracleAgreement::test_straighten_matches_alternant[5]",
+            "tests/test_elw.py::TestVerify::test_polynomial_clause_matches_antisymmetrize[5]",
+        ),
+    ),
+    Mutant(
+        name="pairs-cancel-with-equal-signs",
+        file="src/quasischur/elw.py",
+        old="            if (b.sign, b.shape) != (-a.sign, a.shape):\n",
+        new="            if (b.sign, b.shape) != (a.sign, a.shape):\n",
+        test_ids=(
+            "tests/test_elw.py::TestVerify::test_2_1",
+            "tests/test_elw.py::TestVerify::test_paper_case_2_3_3",
+        ),
+    ),
+    Mutant(
+        name="round-trip-unchecked",
+        file="src/quasischur/elw.py",
+        old=(
+            "        if back is None or back[2] != gamma:\n"
+            "            report.witness = report.witness or word\n"
+            "        elif image <= gamma:\n"
+        ),
+        new="        if image <= gamma:\n",
+        test_ids=(
+            "tests/test_elw.py::TestVerify::test_sign_clause_detects_a_map_that_is_not_an_involution",
+        ),
+    ),
+    Mutant(
+        name="class-count-by-abs-sign",
+        file="src/quasischur/hall_littlewood.py",
+        old="        counts[normal.sign] += sum(majs.values())\n",
+        new="        counts[abs(normal.sign)] += sum(majs.values())\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[2,1,1]",
+            "tests/test_cli.py::TestRecordedDigests::test_stdout_matches_recorded_sha256",
+        ),
+    ),
+    Mutant(
+        name="conjectured-from-every-filling",
+        file="src/quasischur/hall_littlewood.py",
+        old='    conjectured = elw_to_schur(Expansion("F", n, kept_terms))\n',
+        new='    conjectured = elw_to_schur(Expansion("F", n, f_terms))\n',
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_counterexample_shape",
+            "tests/test_cli.py::TestRecordedDigests::test_stdout_matches_recorded_sha256",
+        ),
+    ),
+    Mutant(
+        name="schur-positive-skips-a-negative-coefficient",
+        file="src/quasischur/hall_littlewood.py",
+        old="            if c < 0:\n                return False\n",
+        new="            if c < 0:\n                continue\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_schur_positive_refuses_a_negative_coefficient",
+        ),
+    ),
+)

@@ -25,15 +25,9 @@ from math import factorial
 from operator import add
 from typing import Iterator
 
-from quasischur.combinatorics import (
-    Composition,
-    Partition,
-    WeakComposition,
-    composition_of_set,
-    permutation_sign,
-)
+from quasischur.combinatorics import Composition, Partition, WeakComposition, composition_of_set
 from quasischur.hall_littlewood import hl_fundamental_expansion
-from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt, _sort_sign
+from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt
 from quasischur.quasisym import Expansion, fundamental, is_symmetric_expansion
 from quasischur.schur import schur_ssyt
 
@@ -80,25 +74,33 @@ def scalar_mul(p: SparsePoly, scalar) -> SparsePoly:
 # polynomials
 
 
+def _inversion_sign(seq) -> int:
+    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
 @lru_cache(maxsize=16)
 def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    return tuple(
-        (perm, permutation_sign(perm)) for perm in permutations(range(n))
-    )
+    return tuple((perm, _inversion_sign(perm)) for perm in permutations(range(n)))
 
 
 def antisymmetrize(p: SparsePoly) -> SparsePoly:
     """Signed sum over all variable permutations sigma of sgn(sigma)*sigma(p).
 
     Monomials with a repeated exponent vanish and are skipped; the rest are
-    grouped by sorted exponent vector before the n! expansion.
+    grouped by decreasingly sorted exponent vector before the n! expansion.
+    Both signs are counted here, as inversion parities, so the expansion
+    shares no signed sort with the package routes it is compared against.
     """
     n = p.nvars
     classes: dict[tuple[int, ...], QT] = {}
     for exps, coeff in p.terms():
         if len(set(exps)) != n:
             continue
-        key, sign = _sort_sign(exps)
+        # sorting into decreasing order undoes the pairs that rise, so its
+        # sign is the inversion parity of the negated vector
+        key, sign = tuple(sorted(exps, reverse=True)), _inversion_sign([-e for e in exps])
         new = classes.get(key, QT_ZERO) + coeff * sign
         if new:
             classes[key] = new

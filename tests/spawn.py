@@ -13,8 +13,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def child_env() -> dict[str, str]:
-    """os.environ with SRC prepended to PYTHONPATH."""
+def child_env(src: Path = SRC) -> dict[str, str]:
+    """os.environ with src prepended to PYTHONPATH."""
     inherited = os.environ.get("PYTHONPATH")
-    path = os.pathsep.join([str(SRC), inherited]) if inherited else str(SRC)
+    path = os.pathsep.join([str(src), inherited]) if inherited else str(src)
     return dict(os.environ, PYTHONPATH=path)

@@ -739,6 +739,25 @@ class TestRecordedDigests:
         assert not changed
         assert {want["exit"] for want in recorded.values()} == {0, 3}
 
+    def test_verify_involution_matches_recorded_exit_and_sha256(self, capsys, monkeypatch):
+        # verify-involution on every composition of weight <= 7, on 2,3,3 and
+        # 3,3,2, and on a zero part and a weight over the default bound, both
+        # refused with exit 2 and empty stdout, as recorded before the
+        # verifier read each pair as one comparison of straightened values
+        monkeypatch.delenv("QUASISCHUR_MAX_N", raising=False)
+        recorded = json.loads(
+            (Path(__file__).parent / "data" / "involution_digests.json").read_text()
+        )["runs"]
+        changed = []
+        for argv, want in recorded.items():
+            code = main(argv.split())
+            out = capsys.readouterr().out
+            got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            if got != want:
+                changed.append(argv)
+        assert not changed
+        assert {want["exit"] for want in recorded.values()} == {0, 2}
+
 
 class TestEarlyStdoutClose:
     def test_reader_closing_early_is_not_a_crash(self):

@@ -68,11 +68,9 @@ def _emit(result, text: bool) -> None:
 def _read_document(path: str, parse, kind: str):
     """Load a JSON document from a file or stdin (`-`) and parse it.
 
-    The decoded tree and the maps read from it hold no reference cycles, so
-    the cyclic GC is paused while they grow: its passes would only scan
-    them.  The caller's GC state is restored on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
+    It runs inside main's pause of the cyclic GC: a pause that ended here
+    would leave the decoded maps alive, and the command's next allocations
+    would start a collection that scans all of them."""
     try:
         if path == "-":
             doc = json.load(sys.stdin)
@@ -83,9 +81,6 @@ def _read_document(path: str, parse, kind: str):
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         # RecursionError: the decoder's nesting limit, from a few kB of brackets
         raise CliError(f"cannot read {kind} document: {exc}")
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _within_bound(args, what: str, size: int) -> None:
@@ -242,8 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    The cyclic GC is paused while the command runs and its output is
+    flushed, and the caller's GC state is restored on every exit.  No
+    command leaves reference cycles, so reference counting frees the
+    command's maps before the pause ends and its passes would only have
+    scanned them.  The pause ends after the command has returned: one that
+    ended inside it, with a document's maps still alive, would only move
+    the scan.  Argparse's usage errors exit before the pause."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         # flush here, so that a reader closing early is met below
@@ -259,6 +265,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

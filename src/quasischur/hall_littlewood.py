@@ -52,27 +52,30 @@ def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     # rows from index tail on have one cell
     tail = next((i for i, part in enumerate(mu) if part == 1), len(mu))
     lengths = tuple(mu[:tail])
-    rows: list[tuple[int, ...]] = [()] * tail
+    parts = [((), tuple(values))]
+    for length in lengths:
+        parts = _add_row(parts, length)
+    for rows, free in parts:
+        if tuple(map(len, rows)) != lengths or sorted(chain(free, *rows)) != values:
+            raise ValueError(
+                f"rows {rows} over {free} are not a bijective filling of {mu}"
+            )
+        lower_word = tuple(chain.from_iterable(reversed(rows)))
+        yield from map(add, permutations(free), repeat(lower_word))
 
-    def place(level: int, free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if level == tail:
-            if (
-                tuple(map(len, rows)) != lengths
-                or sorted(chain(free, *rows)) != values
-            ):
-                raise ValueError(
-                    f"rows {rows} over {free} are not a bijective filling of {mu}"
-                )
-            lower_word = tuple(chain.from_iterable(reversed(rows)))
-            yield from map(add, permutations(free), repeat(lower_word))
-            return
+
+def _add_row(parts, length: int) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """Each (rows, free) of parts, rows listed bottom up and free the values
+    not in them, extended by every row of the given length over the top row.
+
+    One generator per level, each reading the level below it: a lower part
+    passes through no generator above its own level, and a walk leaves no
+    reference cycle for the cyclic GC to free."""
+    for rows, free in parts:
         # combinations are increasing, which is the bottom row's order
-        forced = level > 0
-        for block in combinations(free, mu[level]):
-            rows[level] = _force_row(rows[level - 1], block) if forced else block
-            yield from place(level + 1, tuple(v for v in free if v not in block))
-
-    yield from place(0, tuple(values))
+        for block in combinations(free, length):
+            row = _force_row(rows[-1], block) if rows else block
+            yield rows + (row,), tuple(v for v in free if v not in block)
 
 
 def _t_polynomial(census: dict[int, int]) -> QT:

@@ -88,4 +88,58 @@ MUTANTS = (
             "tests/test_hall_littlewood.py::TestExpansions::test_schur_positive_refuses_a_negative_coefficient",
         ),
     ),
+    Mutant(
+        # the zeta transform subtracts and its Moebius inverse adds
+        name="subset-sums-sign-flipped",
+        file="src/quasischur/quasisym.py",
+        old="    combine = QT.__add__ if sign > 0 else QT.__sub__\n",
+        new="    combine = QT.__sub__ if sign > 0 else QT.__add__\n",
+        test_ids=(
+            "tests/test_quasisym.py::TestExtract::test_schur_21",
+            "tests/test_quasisym.py::TestExtractMatchesReference::test_every_small_sign_vector[2]",
+            "tests/test_quasisym.py::TestIsSymmetricExpansion::test_random_qt_combinations[4]",
+            "tests/test_readers.py::TestSeededDocuments::test_duplicates_and_cancellation[2]",
+        ),
+    ),
+    Mutant(
+        # the pass for the descent position 1 is skipped
+        name="subset-sums-bit-skipped",
+        file="src/quasischur/quasisym.py",
+        old="    bit = 1\n    while bit < len(c):\n",
+        new="    bit = 2\n    while bit < len(c):\n",
+        test_ids=(
+            "tests/test_quasisym.py::TestExtract::test_h_n_is_single_fundamental[2]",
+            "tests/test_quasisym.py::TestExtractMatchesReference::test_every_small_sign_vector[3]",
+            "tests/test_quasisym.py::TestIsSymmetricExpansion::test_every_small_sign_vector[3]",
+            "tests/test_readers.py::TestSeededDocuments::test_duplicates_and_cancellation[3]",
+        ),
+    ),
+    Mutant(
+        # the Moebius inverse adds like the zeta transform
+        name="subset-sums-sign-ignored",
+        file="src/quasischur/quasisym.py",
+        old="    combine = QT.__add__ if sign > 0 else QT.__sub__\n",
+        new="    combine = QT.__add__\n",
+        test_ids=(
+            "tests/test_quasisym.py::TestExtract::test_round_trip_single_fundamental",
+            "tests/test_quasisym.py::TestExtractMatchesReference::test_schur_functions[4]",
+            "tests/test_readers.py::TestSeededDocuments::test_duplicates_and_cancellation[4]",
+        ),
+    ),
+    Mutant(
+        # _wrap takes the read map unchecked, so nothing else refuses it
+        name="reader-keeps-a-negative-q-t-exponent",
+        file="src/quasischur/polynomial.py",
+        old=(
+            "        if qe < 0 or te < 0:\n"
+            '            raise ValueError("negative q/t exponent")\n'
+            "        _accumulate(out, (qe, te), c)\n"
+        ),
+        new="        _accumulate(out, (qe, te), c)\n",
+        test_ids=(
+            "tests/test_readers.py::TestNegativeQtExponents::test_refused_by_every_reader[q]",
+            "tests/test_readers.py::TestNegativeQtExponents::test_refused_by_every_reader[t]",
+            "tests/test_readers.py::TestNegativeQtExponents::test_refused_by_every_reader[both-signs]",
+        ),
+    ),
 )

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur.cli import CliError, _read_document, build_parser, main
-from quasischur.polynomial import SparsePoly
+from quasischur import cli
+from quasischur.cli import build_parser, main
+from quasischur.schur import schur_ssyt
 
 from spawn import SRC, child_env
 
@@ -21,6 +22,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def closed_pipe(result, text: bool) -> None:
+    raise BrokenPipeError
 
 
 def set_gc(enabled: bool) -> None:
@@ -298,39 +303,113 @@ def mostly(valid, junk):
 
 
 class TestDocumentReading:
-    # _read_document pauses the cyclic GC while it reads, and gives the
-    # caller's GC state back on every exit
-    READS = {
-        "ok": '{"vars":1,"terms":[{"exps":[1],"coeff":[[0,0,1]]}]}',
-        "bad-json": "{nope",
-        "bad-document": '{"vars":1,"terms":[{"exps":[1],"coeff":[[0,0,1.5]]}]}',
-        "missing-file": None,
+    # main pauses the cyclic GC while the command runs, and gives the
+    # caller's GC state back on every exit.  Each case is a command line,
+    # with {doc} standing for the path of the document, the document's
+    # text (None: no file) and the exit code.
+    X1 = json.dumps(POLY_X1)
+    F21 = '{"basis":"F","degree":3,"terms":[{"index":[2,1],"coeff":[[0,0,1]]}]}'
+    F3 = '{"basis":"F","degree":3,"terms":[{"index":[3],"coeff":[[0,0,1]]}]}'
+    CASES = {
+        "ok": (["fexpand", "{doc}"], X1, 0),
+        "bad-json": (["fexpand", "{doc}"], "{nope", 2),
+        "bad-document": (["fexpand", "{doc}"], X1.replace("1]]", "1.5]]"), 2),
+        "missing-file": (["fexpand", "{doc}"], None, 2),
+        "toschur": (["toschur", "--verify-symmetric", "{doc}"], F3, 0),
+        "not-symmetric": (["toschur", "--verify-symmetric", "{doc}"], F21, 3),
+        "broken-pipe": (["fexpand", "{doc}"], X1, 0),
     }
 
     @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("case", list(READS))
-    def test_gc_state_is_restored(self, tmp_path, case, caller_enabled):
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_gc_state_is_restored(self, capsys, monkeypatch, tmp_path, case, caller_enabled):
+        argv, text, want_code = self.CASES[case]
         path = tmp_path / "doc.json"
-        if self.READS[case] is not None:
-            path.write_text(self.READS[case])
+        if text is not None:
+            path.write_text(text)
+        argv = [arg.format(doc=path) for arg in argv]
+        # the GC state each stage of the command sees: reading, computing and
+        # emitting
         seen = []
 
-        def parse(doc):
-            seen.append(gc.isenabled())
-            return SparsePoly.from_json_dict(doc)
+        def recording(stage, func):
+            def wrapper(*args):
+                seen.append((stage, gc.isenabled()))
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "_read_document", recording("read", cli._read_document))
+        monkeypatch.setattr(cli, "extract_f_expansion", recording("compute", cli.extract_f_expansion))
+        monkeypatch.setattr(cli, "elw_to_schur", recording("compute", cli.elw_to_schur))
+        emit = cli._emit
+        if case == "broken-pipe":
+            # a reader that has gone away; main sends the rest of the output
+            # to devnull through this file's descriptor
+            emit = closed_pipe
+            out = (tmp_path / "stdout").open("w")
+            monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(cli, "_emit", recording("emit", emit))
 
         was_enabled = gc.isenabled()
         set_gc(caller_enabled)
         try:
-            if case == "ok":
-                assert _read_document(str(path), parse, "polynomial") == SparsePoly(1, {(1,): 1})
-                assert seen == [False]
-            else:
-                with pytest.raises(CliError):
-                    _read_document(str(path), parse, "polynomial")
+            code = main(argv)
             assert gc.isenabled() is caller_enabled
         finally:
             set_gc(was_enabled)
+            if case == "broken-pipe":
+                out.close()
+        assert code == want_code
+        assert seen and not any(enabled for _, enabled in seen)
+        stages = [stage for stage, _ in seen]
+        if want_code == 0:
+            assert stages == ["read", "compute", "emit"]
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_usage_error_leaves_gc_state(self, capsys, caller_enabled):
+        # argparse exits before the pause
+        was_enabled = gc.isenabled()
+        set_gc(caller_enabled)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["fexpand", "--max-n", "x"])
+            assert gc.isenabled() is caller_enabled
+        finally:
+            set_gc(was_enabled)
+        assert exc.value.code == 2
+
+    def test_no_collection_once_reading_starts(self, capsys, monkeypatch, tmp_path):
+        # a pause that ended when the document was read would leave its maps
+        # alive for the next allocations to scan; s_(4,2,1,1) in 8
+        # variables has 4,775 monomials
+        path = tmp_path / "s4211.json"
+        path.write_text(json.dumps(schur_ssyt((4, 2, 1, 1), 8).to_json_dict()))
+        reading = []
+        collections = []
+
+        def on_gc(phase, info):
+            if reading and phase == "start":
+                collections.append(info["generation"])
+
+        def read(*args):
+            reading.append(1)
+            return read_document(*args)
+
+        read_document = cli._read_document
+        monkeypatch.setattr(cli, "_read_document", read)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            code = main(["fexpand", str(path)])
+        finally:
+            gc.callbacks.remove(on_gc)
+            set_gc(was_enabled)
+        assert code == 0
+        assert reading == [1]
+        assert collections == []
+        assert capsys.readouterr().out.startswith('{"basis":"F","degree":8,')
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("command", ["fexpand", "toschur"])
@@ -649,6 +728,71 @@ class TestChildProcesses:
             env=child_env(),
         )
         assert Path(proc.stdout.strip()).resolve().parent == SRC / "quasischur"
+
+
+class TestCyclicGarbage:
+    """No command leaves reference cycles, so main's pause of the cyclic GC
+    defers no work: reference counting frees all a command made."""
+
+    # {doc}: the polynomial F_(2,1)(x1, x2, x3), {f21}: its F-expansion,
+    # which is not symmetric, {bad}: not JSON
+    RUNS = [
+        (["straighten", "1,3"], 0),
+        (["straighten", "1,3", "--json"], 0),
+        (["straighten", "x"], 2),
+        (["fundamental", "2,1", "--vars", "4"], 0),
+        (["fundamental", "2,1", "--vars", "-1"], 2),
+        (["fexpand", "{doc}"], 0),
+        (["fexpand", "{doc}", "--text"], 0),
+        (["fexpand", "-"], 0),
+        (["fexpand", "{bad}"], 2),
+        (["fexpand", "{doc}", "--max-n", "2"], 2),
+        (["toschur", "{f21}"], 0),
+        (["toschur", "{f21}", "--text"], 0),
+        (["toschur", "--verify-symmetric", "{f21}"], 3),
+        (["toschur", "{bad}"], 2),
+        (["verify-involution", "2,1"], 0),
+        (["verify-involution", "2,3,3"], 0),
+        (["verify-involution", "0,1"], 2),
+        (["hll", "2,2,1"], 0),
+        (["hll", "2,2,1", "--text"], 0),
+        (["hll", "3,3,3", "--experiment"], 0),
+        (["hll", "0"], 2),
+        (["positivity", "6"], 0),
+        (["positivity", "0"], 2),
+    ]
+    # the child disables the GC and builds the parser, whose argparse
+    # objects hold cycles once per process and outside the pause; then it
+    # runs each command line and counts what gc.collect() finds after it
+    CHILD = """
+import contextlib, gc, io, json, sys
+from quasischur.cli import build_parser, main
+gc.disable()
+build_parser()
+gc.collect()
+counts = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(sys.argv[2])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    counts.append([code, gc.collect()])
+print(json.dumps(counts))
+"""
+
+    def test_commands_leave_no_cyclic_garbage(self, tmp_path):
+        poly = TestParserReuse.FUNDAMENTAL_21
+        files = {"doc": poly, "f21": TestDocumentReading.F21, "bad": "{nope"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        paths = {name: str(tmp_path / f"{name}.json") for name in files}
+        argvs = [[arg.format(**paths) for arg in argv] for argv, _ in self.RUNS]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(argvs), poly],
+            capture_output=True, check=True, text=True, env=child_env(), timeout=120,
+        )
+        got = {" ".join(argv): tuple(run) for (argv, _), run in zip(self.RUNS, json.loads(proc.stdout))}
+        want = {" ".join(argv): (code, 0) for argv, code in self.RUNS}
+        assert got == want
 
 
 class TestParserReuse:

@@ -208,6 +208,23 @@ class TestEqualCoefficientArrays:
         assert dict(e.terms()) == {(1, 1): QT.integer(1)}
 
 
+class TestNegativeQtExponents:
+    # the readers wrap the maps they read unchecked, so each one refuses a
+    # negative q or t exponent itself, as the constructors do
+    @pytest.mark.parametrize("triple", [[-1, 0, 1], [0, -1, 1], [2, -3, -1]],
+                             ids=["q", "t", "both-signs"])
+    def test_refused_by_every_reader(self, triple):
+        coeff = [[0, 0, 1], triple]
+        poly = {"vars": 1, "terms": [{"exps": [1], "coeff": coeff}]}
+        expansion = {"basis": "F", "degree": 1, "terms": [{"index": [1], "coeff": coeff}]}
+        for read, doc in [(QT.from_triples, coeff), (SparsePoly.from_json_dict, poly),
+                          (Expansion.from_json_dict, expansion)]:
+            with pytest.raises(ValueError, match="negative q/t exponent"):
+                read(doc)
+        with pytest.raises(ValueError):
+            reference_from_triples(coeff)
+
+
 # Valid documents, with small numbers so that entries repeat and cancel, and
 # malformed ones: a valid document with one node replaced by a bool, a float,
 # a string, null, an object, an array or a negative number, with one array

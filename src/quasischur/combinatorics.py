@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 _INT_ONLY = frozenset((int,))
@@ -96,20 +98,30 @@ def pad(alpha, n: int) -> WeakComposition:
     return WeakComposition(alpha + (0,) * (n - len(alpha)))
 
 
+def _mask_of_composition(alpha) -> int:
+    """Set(alpha) as a bitmask, bit i-1 standing for the point i, read off the
+    partial sums of alpha; () has mask 0.  This is the position of alpha in
+    compositions_of, and the one descent-mask encoding of the package."""
+    return sum(1 << (point - 1) for point in accumulate(alpha[:-1]))
+
+
+def _composition_of_mask(mask: int, n: int) -> tuple[int, ...]:
+    """The composition of n whose descent set is {i : bit i-1 of mask is set},
+    as a plain tuple of the gaps between its points; () for n = 0, the index
+    of the degree-0 basis element."""
+    if not n:
+        return ()
+    bounds = [0, *(i for i in range(1, n) if mask >> (i - 1) & 1), n]
+    return tuple(map(sub, bounds[1:], bounds))
+
+
 def compositions_of(n: int) -> Iterator[Composition]:
     """All 2^(n-1) compositions of n, lexicographic on the descent set: the
-    composition at position mask has Set = {i : bit i-1 of mask is set}, and
-    is built straight from the bits, each point closing a part."""
+    composition at position mask is _composition_of_mask(mask, n)."""
     if n < 1:
         raise ValueError("n must be positive")
     for mask in range(1 << (n - 1)):
-        parts = [1]
-        for i in range(n - 1):
-            if mask >> i & 1:
-                parts.append(1)
-            else:
-                parts[-1] += 1
-        yield Composition(parts)
+        yield Composition(_composition_of_mask(mask, n))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -9,7 +9,7 @@ from itertools import chain, combinations, compress, permutations, repeat
 from operator import add, gt, itemgetter
 from typing import Iterable, Iterator
 
-from .combinatorics import Partition, composition_of_set, rsk_shape
+from .combinatorics import Partition, _composition_of_mask, rsk_shape
 from .elw import elw_to_schur
 from .polynomial import QT
 from .quasisym import Expansion
@@ -90,15 +90,16 @@ def _picker(positions: list[int]):
     return lambda word: tuple(word[p] for p in positions)
 
 
-def _census(mu: Partition) -> Iterator[tuple[tuple[bool, ...], int, tuple]]:
+def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
     """(mask, maj, word) for each reading word of inv_zero_fillings(mu), the
     one reading of the filling statistics behind every expansion here.
 
-    mask[i] is whether i + 1 is a descent of word^-1, so the descent
-    composition of word^-1 (pides) is _mask_composition(mask, n); maj is the
-    sum over the columns of the major index of each column read top to
-    bottom.  Each is read off the word in one pass: the mask from the positions of i and i + 1, maj
-    from the positions of the vertically adjacent cells."""
+    mask is the descent set of word^-1 as an int, bit i standing for the
+    point i + 1, so the descent composition of word^-1 (pides) is
+    _composition_of_mask(mask, n); maj is the sum over the columns of the
+    major index of each column read top to bottom.  Each is read off the word
+    in one pass: the mask from the positions of i and i + 1, maj from the
+    positions of the vertically adjacent cells."""
     # the cell in column j of row r (0 = bottom) sits at position
     # starts[r] + j of the reading word, which lists the rows top down, and a
     # descent between rows r + 1 and r in column j sits at position
@@ -112,20 +113,13 @@ def _census(mu: Partition) -> Iterator[tuple[tuple[bool, ...], int, tuple]]:
             weights.append(sum(1 for part in mu if part > j) - r - 1)
     up, down = _picker(ups), _picker(downs)
     positions = range(mu.weight)
+    bits = [1 << i for i in range(mu.weight - 1)]
     for word in inv_zero_fillings(mu):
         # where[v - 1] is the position of v in word; i is a descent of
         # word^-1 exactly when i sits after i + 1
         where = sorted(positions, key=word.__getitem__)
         maj = sum(compress(weights, map(gt, up(word), down(word))))
-        yield tuple(map(gt, where, where[1:])), maj, word
-
-
-def _mask_composition(mask: tuple[bool, ...], n: int) -> tuple[int, ...]:
-    """The composition of n whose descent set is {i + 1 : mask[i]}, and ()
-    for n = 0, the index of the degree-0 basis element."""
-    if not n:
-        return ()
-    return tuple(composition_of_set({i + 1 for i, d in enumerate(mask) if d}, n))
+        yield sum(compress(bits, map(gt, where, where[1:]))), maj, word
 
 
 def hl_fundamental_expansion(mu) -> Expansion:
@@ -140,7 +134,7 @@ def hl_fundamental_expansion(mu) -> Expansion:
     census: dict = defaultdict(Counter)  # mask -> maj -> filling count
     for mask, maj, _ in _census(mu):
         census[mask][maj] += 1
-    terms = {_mask_composition(mask, n): _t_polynomial(majs) for mask, majs in census.items()}
+    terms = {_composition_of_mask(mask, n): _t_polynomial(majs) for mask, majs in census.items()}
     return Expansion("F", n, terms)
 
 
@@ -195,11 +189,11 @@ def leftover_experiment(mu) -> ExperimentReport:
     n = mu.weight
     # mask -> (pides, straightened Schur value, maj -> filling count,
     # maj -> kept filling count, or None off the plus class)
-    by_mask: dict[tuple[bool, ...], tuple] = {}
+    by_mask: dict[int, tuple] = {}
     for mask, maj, sigma in _census(mu):
         entry = by_mask.get(mask)
         if entry is None:
-            index = _mask_composition(mask, n)
+            index = _composition_of_mask(mask, n)
             normal = straighten(index)
             entry = by_mask[mask] = (index, normal, {}, {} if normal.sign > 0 else None)
         _, normal, majs, kept_majs = entry

@@ -10,9 +10,9 @@ from typing import Iterator, Mapping
 from .combinatorics import (
     Composition,
     Partition,
+    _composition_of_mask,
     _ints,
-    compositions_of,
-    set_of_composition,
+    _mask_of_composition,
 )
 from .polynomial import (
     QT,
@@ -162,16 +162,17 @@ def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
     }
 
 
-def _descent_mask(alpha) -> int:
-    """Set(alpha) as a bitmask, bit i-1 standing for the point i; this is the
-    position of alpha in compositions_of."""
-    return sum(1 << (i - 1) for i in set_of_composition(alpha))
+def _subset_sums(terms, n: int, sign: int) -> list[tuple[tuple[int, ...], QT]]:
+    """Every composition of n with its coefficient after one pass per descent
+    position over the subsets S of {1..n-1}, in mask order.
 
-
-def _subset_sums(c: list, sign: int) -> None:
-    """One pass per descent position over the subsets S of {1..n-1}, indexed
-    by bitmask: c[S] becomes the sum of c[T] over T <= S for sign 1 (the zeta
-    transform), or of (-1)^(|S|-|T|) c[T] for sign -1 (its Moebius inverse)."""
+    Each (alpha, coeff) of terms is placed at the bitmask c[Set(alpha)]; then
+    c[S] becomes the sum of c[T] over T <= S for sign 1 (the zeta transform),
+    or of (-1)^(|S|-|T|) c[T] for sign -1 (its Moebius inverse).  At degrees 0
+    and 1 the lattice has the one slot of the empty set."""
+    c = [QT_ZERO] * (1 << max(n - 1, 0))
+    for alpha, coeff in terms:
+        c[_mask_of_composition(alpha)] = coeff
     combine = QT.__add__ if sign > 0 else QT.__sub__
     bit = 1
     while bit < len(c):
@@ -179,6 +180,7 @@ def _subset_sums(c: list, sign: int) -> None:
             if mask & bit and c[mask ^ bit]:
                 c[mask] = combine(c[mask], c[mask ^ bit])
         bit <<= 1
+    return [(_composition_of_mask(mask, n), coeff) for mask, coeff in enumerate(c)]
 
 
 def extract_f_expansion(p: SparsePoly) -> Expansion:
@@ -197,16 +199,10 @@ def extract_f_expansion(p: SparsePoly) -> Expansion:
             f"need at least {n} variables to separate degree-{n} fundamentals"
         )
     by_beta = monomial_qs_coefficients(p)
-    if n == 0:
-        # a constant c is c*M_() = c*F_()
-        return Expansion("F", 0, by_beta)
-    c = [QT_ZERO] * (1 << (n - 1))
-    for beta, coeff in by_beta.items():
-        c[_descent_mask(beta)] = coeff
-    _subset_sums(c, -1)
     # a coefficient can be nonzero even where the monomial coefficient
-    # cancels to zero, so read off every composition of n
-    terms = {tuple(alpha): a for alpha, a in zip(compositions_of(n), c) if a}
+    # cancels to zero, so read off every composition of n; a constant c is
+    # c*M_() = c*F_()
+    terms = {alpha: a for alpha, a in _subset_sums(by_beta.items(), n, -1) if a}
     return Expansion("F", n, terms)
 
 
@@ -224,16 +220,8 @@ def is_symmetric_expansion(e: Expansion) -> bool:
     """
     if e.basis != "F":
         raise ValueError(f"expected an F-basis expansion, got basis {e.basis!r}")
-    n = e.degree
-    if n < 2:
-        return True
-    c = [QT_ZERO] * (1 << (n - 1))
-    for alpha, coeff in e.terms():
-        c[_descent_mask(alpha)] = coeff
-    _subset_sums(c, 1)
-    # compositions_of yields beta in the order of its descent-set bitmask
     by_parts: dict[tuple[int, ...], QT] = {}
-    for beta, coeff in zip(compositions_of(n), c):
+    for beta, coeff in _subset_sums(e.terms(), e.degree, 1):
         if by_parts.setdefault(tuple(sorted(beta)), coeff) != coeff:
             return False
     return True

@@ -64,34 +64,39 @@ def straighten(gamma) -> SignedSchur:
 @lru_cache(maxsize=None)
 def schur_ssyt(shape, nvars: int) -> SparsePoly:
     """s_shape by direct enumeration of semistandard tableaux with entries
-    at most nvars.  Independent of straightening and of the alternants."""
+    at most nvars, filled top row first, left to right, from an explicit
+    stack of (cell, value) choices, which leaves no reference cycle.
+    Independent of straightening and of the alternants."""
     shape = Partition(shape)
-    rows = len(shape)
-    counts: dict[tuple[int, ...], int] = {}
+    cells = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+    size = len(cells)
+    # per cell, the flat indices of its left and upper neighbours; index
+    # size is a sentinel entry 0, and the extra pair is the finished tableau's
+    neighbours = [
+        (k - 1 if c else size, k - shape[r - 1] if r else size)
+        for k, (r, c) in enumerate(cells)
+    ] + [(size, size)]
+    entries = [0] * (size + 1)
     content = [0] * nvars
-    tableau: list[list[int]] = [[] for _ in range(rows)]
-
-    def fill(row: int, col: int) -> None:
-        if row == rows:
+    counts: dict[tuple[int, ...], int] = {}
+    stack = [(0, 1)]
+    while stack:
+        k, value = stack.pop()
+        if k == size:
             key = tuple(content)
             counts[key] = counts.get(key, 0) + 1
-            return
-        if col == shape[row]:
-            fill(row + 1, 0)
-            return
-        lo = 1
-        if col > 0:
-            lo = max(lo, tableau[row][col - 1])  # weak increase along rows
-        if row > 0:
-            lo = max(lo, tableau[row - 1][col] + 1)  # strict increase down columns
-        for value in range(lo, nvars + 1):
-            tableau[row].append(value)
-            content[value - 1] += 1
-            fill(row, col + 1)
-            content[value - 1] -= 1
-            tableau[row].pop()
-
-    fill(0, 0)
+            continue
+        if entries[k]:
+            content[entries[k] - 1] -= 1
+        if value > nvars:
+            entries[k] = 0
+            continue
+        entries[k] = value
+        content[value - 1] += 1
+        stack.append((k, value + 1))
+        # weak increase along rows, strict increase down columns
+        left, up = neighbours[k + 1]
+        stack.append((k + 1, max(entries[left], entries[up] + 1)))
     # one coefficient per distinct count, shared by every monomial with it,
     # so the checked constructor builds no QT per monomial
     coeffs = {count: QT.integer(count) for count in set(counts.values())}

@@ -142,4 +142,76 @@ MUTANTS = (
             "tests/test_readers.py::TestNegativeQtExponents::test_refused_by_every_reader[both-signs]",
         ),
     ),
+    Mutant(
+        # gt with its arguments swapped is lt: the mask is the complement of
+        # the descent set, which only the one-cell shape cannot see
+        name="census-mask-compared-with-lt",
+        file="src/quasischur/hall_littlewood.py",
+        old="        yield sum(compress(bits, map(gt, where, where[1:]))), maj, word\n",
+        new="        yield sum(compress(bits, map(gt, where[1:], where))), maj, word\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_reads_each_word_as_maj_stat_and_pides[2,1]",
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[2,1,1]",
+        ),
+    ),
+    Mutant(
+        name="census-maj-weight-one-too-high",
+        file="src/quasischur/hall_littlewood.py",
+        old="            weights.append(sum(1 for part in mu if part > j) - r - 1)\n",
+        new="            weights.append(sum(1 for part in mu if part > j) - r)\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_hll_column",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_reads_each_word_as_maj_stat_and_pides[2,1]",
+            "tests/test_cli.py::TestRecordedDigests::test_stdout_matches_recorded_sha256",
+        ),
+    ),
+    Mutant(
+        # every coefficient lands one descent position too high
+        name="mask-of-composition-shifted-by-one-bit",
+        file="src/quasischur/combinatorics.py",
+        old="    return sum(1 << (point - 1) for point in accumulate(alpha[:-1]))\n",
+        new="    return sum(1 << point for point in accumulate(alpha[:-1]))\n",
+        test_ids=(
+            "tests/test_combinatorics.py::test_descent_masks_round_trip_in_the_order_of_compositions_of[3]",
+            "tests/test_quasisym.py::TestExtract::test_schur_21",
+            "tests/test_quasisym.py::TestIsSymmetricExpansion::test_schur_functions_accepted[3]",
+        ),
+    ),
+    Mutant(
+        name="class-map-drops-the-sorting-sign",
+        file="src/quasischur/polynomial.py",
+        old="        _accumulate(classes, key, coeff * sign)\n",
+        new="        _accumulate(classes, key, coeff)\n",
+        test_ids=(
+            "tests/test_polynomial.py::TestClassMap::test_sorting_sign",
+            "tests/test_polynomial.py::TestClassMap::test_expands_to_antisymmetrize[3]",
+            "tests/test_elw.py::TestVerify::test_paper_case_2_3_3",
+        ),
+    ),
+    Mutant(
+        # a vector with a repeated entry has a zero alternant
+        name="class-map-keeps-a-repeated-entry",
+        file="src/quasischur/polynomial.py",
+        old="        if len(set(exps)) != len(exps):\n            continue\n",
+        new="",
+        test_ids=(
+            "tests/test_polynomial.py::TestClassMap::test_repeated_exponents_vanish",
+            "tests/test_polynomial.py::TestClassMap::test_expands_to_antisymmetrize[3]",
+            "tests/test_elw.py::TestVerify::test_paper_case_2_3_3",
+        ),
+    ),
+    Mutant(
+        # a row of two or more cells over another keeps its increasing
+        # order, so the walk makes fillings with inversions
+        name="walk-row-left-unforced",
+        file="src/quasischur/hall_littlewood.py",
+        old="            row = _force_row(rows[-1], block) if rows else block\n",
+        new="            row = block\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_matches_reference_walk[2,2]",
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_census_and_inversion_free[4]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[3,2]",
+        ),
+    ),
 )

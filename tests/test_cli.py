@@ -157,6 +157,23 @@ class TestFexpand:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read polynomial document: expected an integer")
 
+    @pytest.mark.parametrize(
+        "terms, nvars, message",
+        [
+            ([[2, 0]], 2, "polynomial is not quasisymmetric"),
+            ([[1, 0], [0, 1], [2, 0], [0, 2]], 2, "polynomial is not homogeneous"),
+            ([[2]], 1, "need at least 2 variables to separate degree-2 fundamentals"),
+        ],
+        ids=["not-quasisymmetric", "not-homogeneous", "too-few-variables"],
+    )
+    def test_polynomial_without_an_f_expansion_refused(
+        self, capsys, monkeypatch, terms, nvars, message
+    ):
+        doc = {"vars": nvars, "terms": [{"exps": e, "coeff": [[0, 0, 1]]} for e in terms]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "fexpand", "-")
+        assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
+
     @pytest.mark.parametrize("exps", [[-1, 1], [1, -1], [-1, 0]])
     def test_negative_exponent_rejected(self, capsys, monkeypatch, exps):
         doc = {"vars": 2, "terms": [{"exps": exps, "coeff": [[0, 0, 1]]}]}
@@ -185,6 +202,14 @@ class TestToSchur:
         result = json.loads(out)
         assert result["basis"] == "s"
         assert result["terms"] == [{"index": [2, 1], "coeff": [[0, 0, 1]]}]
+
+    @pytest.mark.parametrize("basis", ["M", "s"])
+    def test_other_bases_refused(self, capsys, monkeypatch, basis):
+        doc = {"basis": basis, "degree": 1, "terms": [{"index": [1], "coeff": [[0, 0, 1]]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "toschur", "-")
+        message = f"error: expected an F-basis expansion, got basis {basis!r}"
+        assert (code, out, err.splitlines()) == (2, "", [message])
 
     def test_single_h(self, capsys, tmp_path):
         doc = tmp_path / "in.json"
@@ -608,6 +633,12 @@ class TestSizeBound:
         assert (code, json.loads(out)) == (0, self.E10_F)
         code, out, _ = run_cli(capsys, "toschur", "--verify-symmetric", f)
         assert (code, json.loads(out)) == (0, self.E10_S)
+
+    def test_environment_bound_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUASISCHUR_MAX_N", "abc")
+        code, out, err = run_cli(capsys, "hll", "2")
+        message = "error: QUASISCHUR_MAX_N must be an integer, got 'abc'"
+        assert (code, out, err.splitlines()) == (2, "", [message])
 
     def test_toschur_without_verification_is_unbounded(self, capsys, tmp_path):
         _, f = self.documents(tmp_path)

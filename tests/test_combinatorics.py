@@ -7,6 +7,8 @@ from quasischur.combinatorics import (
     Composition,
     Partition,
     WeakComposition,
+    _composition_of_mask,
+    _mask_of_composition,
     composition_of_set,
     compositions_of,
     pad,
@@ -82,6 +84,10 @@ class TestSetCorrespondence:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             composition_of_set({4}, 4)
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            composition_of_set(set(), 0)
 
     @given(compositions)
     def test_round_trip(self, alpha):
@@ -225,6 +231,19 @@ def test_compositions_of_follow_the_descent_set_bitmask(n):
     comps = list(compositions_of(n))
     assert comps == [composition_of_set(bits(mask), n) for mask in range(1 << (n - 1))]
     assert all(type(c) is Composition and all(type(p) is int for p in c) for c in comps)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_descent_masks_round_trip_in_the_order_of_compositions_of(n):
+    comps = list(compositions_of(n))
+    masks = [_mask_of_composition(alpha) for alpha in comps]
+    assert masks == list(range(1 << (n - 1)))
+    assert masks == [sum(1 << (i - 1) for i in set_of_composition(a)) for a in comps]
+    assert [_composition_of_mask(mask, n) for mask in masks] == [tuple(a) for a in comps]
+
+
+def test_degree_zero_has_the_one_mask_of_the_empty_composition():
+    assert (_mask_of_composition(()), _composition_of_mask(0, 0)) == (0, ())
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -5,6 +5,7 @@ import pytest
 from quasischur.combinatorics import (
     Composition,
     Partition,
+    _composition_of_mask,
     composition_of_set,
     pad,
     partitions_of,
@@ -15,7 +16,6 @@ from quasischur.hall_littlewood import (
     ExperimentReport,
     _census,
     _force_row,
-    _mask_composition,
     hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
@@ -314,7 +314,7 @@ class TestExpansions:
         # symmetric function agree
         mu = Partition(mu)
         for mask, maj, word in _census(mu):
-            assert _mask_composition(mask, mu.weight) == tuple(pides(word)), word
+            assert _composition_of_mask(mask, mu.weight) == tuple(pides(word)), word
             assert maj == maj_stat(Filling.from_reading_word(mu, word)), word
 
     def test_one_row_haglund_anchor(self):

@@ -46,6 +46,10 @@ class TestExpansion:
         with pytest.raises(TypeError):
             Expansion("F", 2.0)
 
+    def test_non_number_coefficient_is_refused(self):
+        with pytest.raises(TypeError, match="cannot use str as a Z\\[q,t\\] coefficient"):
+            Expansion("F", 1, {(1,): "x"})
+
     def test_s_basis_needs_partitions(self):
         with pytest.raises(ValueError):
             Expansion("s", 3, {(1, 2): 1})
@@ -341,6 +345,9 @@ class TestIsSymmetricExpansion:
     def test_degree_zero_and_zero_expansion(self):
         assert is_symmetric_expansion(Expansion("F", 0))
         assert is_symmetric_expansion(Expansion("F", 5))
+        # degrees 0 and 1 have a one-slot lattice
+        assert is_symmetric_expansion(Expansion("F", 0, {(): 3}))
+        assert is_symmetric_expansion(Expansion("F", 1, {(1,): T}))
 
     def test_other_bases_rejected(self):
         with pytest.raises(ValueError):

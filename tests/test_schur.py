@@ -1,3 +1,4 @@
+import gc
 from operator import add
 
 import pytest
@@ -39,6 +40,10 @@ class TestStraighten:
 
     def test_signed_example(self):
         assert straighten((1, 3)) == SignedSchur.of(-1, (2, 2))
+
+    def test_signed_value_needs_a_unit_sign(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            SignedSchur.of(0, (1,))
 
     def test_partition_is_fixed(self):
         assert straighten((3, 1)) == SignedSchur.of(1, (3, 1))
@@ -113,6 +118,19 @@ class TestSsyt:
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError, match="variable count must be non-negative"):
             schur_ssyt((), -1)
+
+    @pytest.mark.parametrize("shape, nvars", [((2, 1), 3), ((3, 2, 1), 4)], ids=["2,1", "3,2,1"])
+    def test_leaves_no_reference_cycle(self, shape, nvars):
+        # the cyclic GC finds nothing to free after the uncached body
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            schur_ssyt.__wrapped__(shape, nvars)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def alternant(n, exps, coeff=1):

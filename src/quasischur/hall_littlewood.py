@@ -78,11 +78,6 @@ def _add_row(parts, length: int) -> Iterator[tuple[tuple, tuple[int, ...]]]:
             yield rows + (row,), tuple(v for v in free if v not in block)
 
 
-def _t_polynomial(census: dict[int, int]) -> QT:
-    """The sum of count * t^texp over a census mapping texp -> count."""
-    return QT({(0, texp): count for texp, count in census.items()})
-
-
 def _picker(positions: list[int]):
     """itemgetter for positions that returns a tuple for any count."""
     if len(positions) >= 2:
@@ -122,20 +117,33 @@ def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
         yield sum(compress(bits, map(gt, where, where[1:]))), maj, word
 
 
+def _tally() -> defaultdict:
+    """An empty tally of fillings, descent mask -> maj -> filling count: the
+    one table shape here, incremented as table[mask][maj] += count."""
+    return defaultdict(lambda: defaultdict(int))
+
+
+def _f_expansion(n: int, table) -> Expansion:
+    """The sum of count * t^maj F_pides over a _tally of fillings of weight n."""
+    return Expansion("F", n, {
+        _composition_of_mask(mask, n): QT({(0, maj): count for maj, count in majs.items()})
+        for mask, majs in table.items()
+    })
+
+
 def hl_fundamental_expansion(mu) -> Expansion:
     """F-expansion of the modified Hall-Littlewood polynomial: the q = 0
     specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
 
-    The fillings are counted per descent mask and maj off _census, as in
-    leftover_experiment.  The tests check this sum against their reference
-    maj_stat and pides over an independent walk, and against cocharge through hll_expansion."""
+    The fillings of _census are counted into a _tally, and _f_expansion
+    reads the sum off it, as in leftover_experiment.  The tests check this
+    sum against their reference maj_stat and pides over an independent walk,
+    and against cocharge through hll_expansion."""
     mu = Partition(mu)
-    n = mu.weight
-    census: dict = defaultdict(Counter)  # mask -> maj -> filling count
+    table = _tally()
     for mask, maj, _ in _census(mu):
-        census[mask][maj] += 1
-    terms = {_composition_of_mask(mask, n): _t_polynomial(majs) for mask, majs in census.items()}
-    return Expansion("F", n, terms)
+        table[mask][maj] += 1
+    return _f_expansion(mu.weight, table)
 
 
 def hll_expansion(mu) -> Expansion:
@@ -178,48 +186,38 @@ def leftover_experiment(mu) -> ExperimentReport:
     Schensted shape matches the straightened shape, and compare the resulting
     sum against the true expansion, built from the same walk.
 
-    The fillings come from _census, as in hl_fundamental_expansion.  Each
-    descent mask is straightened once, and the fillings are counted per mask
-    and maj; the class counts and both expansions are read off that census
-    after the walk.  Both Schur sides are elw_to_schur of an F-expansion: the
-    true side of every filling's t^maj F_pides, and the conjectured side of
-    the kept fillings' alone, whose F_pides each straighten to plus the Schur
-    function of their Schensted shape."""
+    The fillings of _census are counted as in hl_fundamental_expansion,
+    every filling into the _tally table and the kept ones also into kept;
+    each descent mask is straightened once.  The class counts are read off
+    table after the walk, and the true and conjectured Schur sides are
+    elw_to_schur of _f_expansion of table and of kept: the kept fillings'
+    F_pides each straighten to plus the Schur function of their Schensted
+    shape."""
     mu = Partition(mu)
     n = mu.weight
-    # mask -> (pides, straightened Schur value, maj -> filling count,
-    # maj -> kept filling count, or None off the plus class)
-    by_mask: dict[int, tuple] = {}
+    table, kept = _tally(), _tally()
+    normals = {}  # mask -> straightened Schur value of its pides
     for mask, maj, sigma in _census(mu):
-        entry = by_mask.get(mask)
-        if entry is None:
-            index = _composition_of_mask(mask, n)
-            normal = straighten(index)
-            entry = by_mask[mask] = (index, normal, {}, {} if normal.sign > 0 else None)
-        _, normal, majs, kept_majs = entry
-        majs[maj] = majs.get(maj, 0) + 1
-        if kept_majs is not None and rsk_shape(sigma) == normal.shape:
-            kept_majs[maj] = kept_majs.get(maj, 0) + 1
-    counts = {0: 0, -1: 0, 1: 0}  # sign of the straightened value -> filling count
-    kept_count = 0
-    f_terms, kept_terms = {}, {}
-    for index, normal, majs, kept_majs in by_mask.values():
-        counts[normal.sign] += sum(majs.values())
-        f_terms[index] = _t_polynomial(majs)
-        if kept_majs:
-            kept_count += sum(kept_majs.values())
-            kept_terms[index] = _t_polynomial(kept_majs)
+        table[mask][maj] += 1
+        normal = normals.get(mask)
+        if normal is None:
+            normal = normals[mask] = straighten(_composition_of_mask(mask, n))
+        if normal.sign > 0 and rsk_shape(sigma) == normal.shape:
+            kept[mask][maj] += 1
+    counts = Counter()  # sign of the straightened value -> filling count
+    for mask, majs in table.items():
+        counts[normals[mask].sign] += sum(majs.values())
     # the F-to-s replacement is linear, so this walk's F-expansion gives the
     # true expansion without walking the fillings again in hll_expansion
-    true_expansion = elw_to_schur(Expansion("F", n, f_terms))
-    conjectured = elw_to_schur(Expansion("F", n, kept_terms))
+    true_expansion = elw_to_schur(_f_expansion(n, table))
+    conjectured = elw_to_schur(_f_expansion(n, kept))
     return ExperimentReport(
         mu=mu,
-        filling_count=sum(counts.values()),
+        filling_count=counts.total(),
         zero_count=counts[0],
         minus_count=counts[-1],
         plus_count=counts[1],
-        kept_count=kept_count,
+        kept_count=sum(sum(majs.values()) for majs in kept.values()),
         conjectured=conjectured,
         true_expansion=true_expansion,
         discrepancy=true_expansion - conjectured,

@@ -62,8 +62,8 @@ MUTANTS = (
     Mutant(
         name="class-count-by-abs-sign",
         file="src/quasischur/hall_littlewood.py",
-        old="        counts[normal.sign] += sum(majs.values())\n",
-        new="        counts[abs(normal.sign)] += sum(majs.values())\n",
+        old="        counts[normals[mask].sign] += sum(majs.values())\n",
+        new="        counts[abs(normals[mask].sign)] += sum(majs.values())\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[2,1,1]",
             "tests/test_cli.py::TestRecordedDigests::test_stdout_matches_recorded_sha256",
@@ -72,11 +72,34 @@ MUTANTS = (
     Mutant(
         name="conjectured-from-every-filling",
         file="src/quasischur/hall_littlewood.py",
-        old='    conjectured = elw_to_schur(Expansion("F", n, kept_terms))\n',
-        new='    conjectured = elw_to_schur(Expansion("F", n, f_terms))\n',
+        old="    conjectured = elw_to_schur(_f_expansion(n, kept))\n",
+        new="    conjectured = elw_to_schur(_f_expansion(n, table))\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_counterexample_shape",
             "tests/test_cli.py::TestRecordedDigests::test_stdout_matches_recorded_sha256",
+        ),
+    ),
+    Mutant(
+        # every plus-class filling is kept, whatever its Schensted shape
+        name="kept-tally-without-the-schensted-test",
+        file="src/quasischur/hall_littlewood.py",
+        old="        if normal.sign > 0 and rsk_shape(sigma) == normal.shape:\n",
+        new="        if normal.sign > 0:\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_counterexample_shape",
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[2,2]",
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_empty_discrepancy_up_to_six[4]",
+        ),
+    ),
+    Mutant(
+        # the tally's maj becomes a power of q instead of t
+        name="f-expansion-puts-maj-on-q",
+        file="src/quasischur/hall_littlewood.py",
+        old="        _composition_of_mask(mask, n): QT({(0, maj): count for maj, count in majs.items()})\n",
+        new="        _composition_of_mask(mask, n): QT({(maj, 0): count for maj, count in majs.items()})\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_hll_column",
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1]",
         ),
     ),
     Mutant(
@@ -212,6 +235,32 @@ MUTANTS = (
             "tests/test_hall_littlewood.py::TestInvZeroFillings::test_matches_reference_walk[2,2]",
             "tests/test_hall_littlewood.py::TestInvZeroFillings::test_census_and_inversion_free[4]",
             "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[3,2]",
+        ),
+    ),
+    Mutant(
+        # the second row keeps its increasing order; the rows above it are
+        # still forced over the row below
+        name="walk-only-the-second-row-unforced",
+        file="src/quasischur/hall_littlewood.py",
+        old="            row = _force_row(rows[-1], block) if rows else block\n",
+        new="            row = _force_row(rows[-1], block) if len(rows) > 1 else block\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_matches_reference_walk[2,2]",
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_matches_reference_walk[3,2]",
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_census_and_inversion_free[4]",
+        ),
+    ),
+    Mutant(
+        # the first block of each level, and so its whole subtree, is walked
+        # twice
+        name="walk-duplicates-a-subtree",
+        file="src/quasischur/hall_littlewood.py",
+        old="        for block in combinations(free, length):\n",
+        new="        for block in [*combinations(free, length), *list(combinations(free, length))[:1]]:\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_333_count",
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_row_shape",
+            "tests/test_hall_littlewood.py::TestInvZeroFillings::test_census_and_inversion_free[2]",
         ),
     ),
 )

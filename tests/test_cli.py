@@ -174,6 +174,14 @@ class TestFexpand:
         code, out, err = run_cli(capsys, "fexpand", "-")
         assert (code, out, err.splitlines()) == (2, "", [f"error: {message}"])
 
+    @pytest.mark.parametrize("exps, kind", [({"0": 1}, "dict"), ("12", "str")])
+    def test_exponents_not_an_array(self, capsys, monkeypatch, exps, kind):
+        doc = {"vars": 1, "terms": [{"exps": exps, "coeff": [[0, 0, 1]]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "fexpand", "-")
+        assert (code, out, err.splitlines()) == (
+            2, "", [f"error: cannot read polynomial document: expected an array, got {kind}"])
+
     @pytest.mark.parametrize("exps", [[-1, 1], [1, -1], [-1, 0]])
     def test_negative_exponent_rejected(self, capsys, monkeypatch, exps):
         doc = {"vars": 2, "terms": [{"exps": exps, "coeff": [[0, 0, 1]]}]}
@@ -225,6 +233,14 @@ class TestToSchur:
         code, out, _ = run_cli(capsys, "toschur", str(doc))
         assert code == 0
         assert json.loads(out)["terms"] == [{"index": [2], "coeff": [[0, 0, 1]]}]
+
+    @pytest.mark.parametrize("index, kind", [({"0": 2}, "dict"), ("2", "str")])
+    def test_index_not_an_array(self, capsys, monkeypatch, index, kind):
+        doc = {"basis": "F", "degree": 2, "terms": [{"index": index, "coeff": [[0, 0, 1]]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "toschur", "-")
+        assert (code, out, err.splitlines()) == (
+            2, "", [f"error: cannot read expansion document: expected an array, got {kind}"])
 
     def test_empty_terms(self, capsys, tmp_path):
         doc = tmp_path / "in.json"

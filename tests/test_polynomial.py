@@ -72,6 +72,14 @@ class TestQT:
     def test_bool_is_an_int(self):
         assert QT({(0, 0): True}) == QT_ONE and str(QT({(1, 0): True})) == "q"
 
+    def test_non_number_operand_is_refused(self):
+        with pytest.raises(TypeError):
+            QT.integer(1) * "x"
+
+    def test_repr(self):
+        assert repr(QT_ONE + Q * T * T) == "QT(1 + q*t^2)"
+        assert repr(SparsePoly(2, {(1, 0): Q, (0, 2): 1})) == "SparsePoly(2, q*x1 + 1*x2^2)"
+
 
 class TestRingOps:
     def test_add_cancels(self):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, compress, permutations, repeat
+from math import factorial
 from operator import add, gt, itemgetter
 from typing import Iterable, Iterator
 
@@ -44,8 +47,12 @@ def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     the lower part.  Once per lower part the walk checks that its rows have
     the lengths of the shape and that they and the remaining values hold
     1..n once each, and raises ValueError otherwise; each permutation of the
-    remaining values then makes the word a bijective filling of mu.  The
-    order in which the words are yielded is not part of this contract.
+    remaining values then makes the word a bijective filling of mu.
+
+    The order is part of this contract, and _census reads it: with k =
+    mu.count(1), the k! words of one lower part come consecutively, share
+    their last n - k letters, and their first k letters run through
+    itertools.permutations of the remaining values in increasing order.
     """
     mu = Partition(mu)
     values = list(range(1, mu.weight + 1))
@@ -92,9 +99,20 @@ def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
     mask is the descent set of word^-1 as an int, bit i standing for the
     point i + 1, so the descent composition of word^-1 (pides) is
     _composition_of_mask(mask, n); maj is the sum over the columns of the
-    major index of each column read top to bottom.  Each is read off the word
-    in one pass: the mask from the positions of i and i + 1, maj from the
-    positions of the vertically adjacent cells."""
+    major index of each column read top to bottom.
+
+    The walk yields one chunk of k! words per lower part (k = mu.count(1)),
+    which differ only in their tail, the first k letters.  The chunk's first
+    word is read in one pass: the mask from the positions of i and i + 1,
+    maj from the positions of the vertically adjacent cells.  Its tail is
+    the free values in increasing order, so its mask holds exactly the bits
+    that no tail changes: a pair i, i + 1 with i free and i + 1 in the lower
+    part is never a descent, and one with i in the lower part and i + 1 free
+    always is.  The other words of the chunk take their mask and maj from
+    _tail_table(k): a pair of free values i, i + 1 is a descent when the
+    tail puts i after i + 1, the tail's column-1 descents add the tail's
+    maj, and its last letter adds k when it exceeds the column-1 cell of the
+    top lower row, which it sits on."""
     # the cell in column j of row r (0 = bottom) sits at position
     # starts[r] + j of the reading word, which lists the rows top down, and a
     # descent between rows r + 1 and r in column j sits at position
@@ -107,14 +125,90 @@ def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
             downs.append(starts[r] + j)
             weights.append(sum(1 for part in mu if part > j) - r - 1)
     up, down = _picker(ups), _picker(downs)
-    positions = range(mu.weight)
-    bits = [1 << i for i in range(mu.weight - 1)]
-    for word in inv_zero_fillings(mu):
+    n, k = mu.weight, mu.count(1)
+    positions = range(n)
+    bits = [1 << i for i in range(n - 1)]
+    if k >= 2:
+        idesc, majdes, _, ends, shifts = _tail_table(k)
+    words = inv_zero_fillings(mu)
+    for word in words:
         # where[v - 1] is the position of v in word; i is a descent of
         # word^-1 exactly when i sits after i + 1
         where = sorted(positions, key=word.__getitem__)
         maj = sum(compress(weights, map(gt, up(word), down(word))))
-        yield sum(compress(bits, map(gt, where, where[1:]))), maj, word
+        mask = sum(compress(bits, map(gt, where, where[1:])))
+        if k < 2:
+            yield mask, maj, word
+            continue
+        free = word[:k]
+        # junction[a]: maj of the chunk's word whose tail ends in free[a],
+        # less the tail's own maj; free[a] exceeds the cell below it when
+        # a >= r
+        r = bisect_right(free, word[k]) if k < n else k
+        lower = maj - (k if r < k else 0)
+        junction = [lower + (k if a >= r else 0) for a in range(k)]
+        # spread[x]: mask with the bits of the free pairs whose tail
+        # inverse-descent bits are x, bit a standing for free[a], free[a + 1]
+        spread = [mask]
+        for a in range(k - 1):
+            s = free[a]
+            bit = 1 << (s - 1) if free[a + 1] == s + 1 else 0
+            spread += [m | bit for m in spread]
+        for p, shift in enumerate(shifts):
+            # block p: the tails p.sigma', for which p is a descent at
+            # position 1 over the first p * (k - 2)! sigmas, those with
+            # sigma[0] < p; lookup[ends[i]] is junction at the tail's last
+            # letter, plus that descent
+            ends_p = junction[:p] + junction[p + 1 :]
+            lookup = [m + 1 for m in ends_p] * p + ends_p * (k - 1 - p)
+            # zip pulls left to right, so it takes one word per column entry,
+            # and block 0 starts with the word read above
+            yield from zip(
+                map(list(map(spread.__getitem__, shift)).__getitem__, idesc),
+                map(add, map(lookup.__getitem__, ends), majdes),
+                chain((word,), words) if p == 0 else words,
+            )
+
+
+@lru_cache(maxsize=None)
+def _tail_table(k: int) -> tuple[array, array, array, array, list[list[int]]]:
+    """The one-cell tails of k >= 2 letters, read block by block off columns
+    over the (k - 1)! permutations sigma of range(k - 1), in
+    itertools.permutations order.  Block p, p in range(k), is the tails
+    p.sigma', sigma' being sigma relabelled onto range(k) without p; the
+    blocks in order are the k! tails in itertools.permutations order.
+
+    Returns (idesc, majdes, des, ends, shifts): idesc[i] the inverse-descent
+    bits of sigma (bit a when a sits after a + 1), majdes[i] = maj(sigma) +
+    des(sigma), des[i] = des(sigma), ends[i] = sigma[0] * (k - 1) +
+    sigma[-1], and shifts[p][x] the inverse-descent bits of p.sigma' for
+    those x of sigma: the bits below p - 1 stay, bit p - 1 is set (p - 1
+    sits after p), sigma's bit p - 1 is dropped and its bits from p on move
+    up one.  The columns for k are those for k - 1 read the same way, block
+    by block: p.sigma' has a descent at position 1 when p > sigma[0], and
+    its other descents are sigma's, one position further down.  The cache
+    hands the same arrays and lists to every caller, which only read them."""
+    j = k - 1
+    patterns = range(1 << (j - 1))  # sigma's inverse-descent bits
+    shifts = [[x << 1 for x in patterns]]
+    for p in range(1, k):
+        low, bit = (1 << (p - 1)) - 1, 1 << (p - 1)
+        shifts.append([x & low | bit | x >> p << (p + 1) for x in patterns])
+    if k == 2:
+        return array("I", [0]), array("I", [0]), array("B", [0]), array("H", [0]), shifts
+    # sigma = q.tau' for the permutations tau of range(m), the level below
+    m = j - 1
+    tau_idesc, tau_majdes, tau_des, tau_ends, tau_shifts = _tail_table(j)
+    idesc, majdes, des, ends = array("I"), array("I"), array("B"), array("H")
+    for q, shift in enumerate(tau_shifts):
+        # q > tau[0] for the first q * (m - 1)! taus
+        first = q * factorial(m - 1)
+        idesc.extend(map(shift.__getitem__, tau_idesc))
+        majdes.extend(map(add, map(add, tau_majdes, tau_des), chain(repeat(2, first), repeat(0))))
+        des.extend(map(add, tau_des, chain(repeat(1, first), repeat(0))))
+        relabel = [q * j + last + (last >= q) for last in range(m)] * m
+        ends.extend(map(relabel.__getitem__, tau_ends))
+    return idesc, majdes, des, ends, shifts
 
 
 def _tally() -> defaultdict:

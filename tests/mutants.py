@@ -170,12 +170,61 @@ MUTANTS = (
         # the descent set, which only the one-cell shape cannot see
         name="census-mask-compared-with-lt",
         file="src/quasischur/hall_littlewood.py",
-        old="        yield sum(compress(bits, map(gt, where, where[1:]))), maj, word\n",
-        new="        yield sum(compress(bits, map(gt, where[1:], where))), maj, word\n",
+        old="        mask = sum(compress(bits, map(gt, where, where[1:])))\n",
+        new="        mask = sum(compress(bits, map(gt, where[1:], where)))\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1]",
             "tests/test_hall_littlewood.py::TestExpansions::test_census_reads_each_word_as_maj_stat_and_pides[2,1]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
             "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[2,1,1]",
+        ),
+    ),
+    Mutant(
+        # a tail letter over a smaller cell of the top lower row adds no maj
+        name="census-junction-weight-dropped",
+        file="src/quasischur/hall_littlewood.py",
+        old="        junction = [lower + (k if a >= r else 0) for a in range(k)]\n",
+        new="        junction = [lower] * k\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[4]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1,1]",
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[2,1,1]",
+        ),
+    ),
+    Mutant(
+        # the descent bit of a free pair i, i + 1 lands on the pair above it
+        name="census-free-pair-bit-shifted",
+        file="src/quasischur/hall_littlewood.py",
+        old="            bit = 1 << (s - 1) if free[a + 1] == s + 1 else 0\n",
+        new="            bit = 1 << s if free[a + 1] == s + 1 else 0\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_reads_each_word_as_maj_stat_and_pides[1,1]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1,1]",
+        ),
+    ),
+    Mutant(
+        # a tail p.sigma' with p > sigma[0] loses its descent at position 1
+        name="census-block-without-the-position-1-descent",
+        file="src/quasischur/hall_littlewood.py",
+        old="            lookup = [m + 1 for m in ends_p] * p + ends_p * (k - 1 - p)\n",
+        new="            lookup = ends_p * (k - 1)\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_hll_column",
+            "tests/test_hall_littlewood.py::TestLeftoverExperiment::test_matches_reference_experiment[1,1,1]",
+        ),
+    ),
+    Mutant(
+        # p - 1 sits after p in every tail p.sigma', and the recursion forgets it
+        name="tail-shift-without-the-bit-p-minus-1",
+        file="src/quasischur/hall_littlewood.py",
+        old="        shifts.append([x & low | bit | x >> p << (p + 1) for x in patterns])\n",
+        new="        shifts.append([x & low | x >> p << (p + 1) for x in patterns])\n",
+        test_ids=(
+            "tests/test_hall_littlewood.py::TestExpansions::test_tail_table_reads_permutations[2]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[1,1,1]",
         ),
     ),
     Mutant(
@@ -184,7 +233,7 @@ MUTANTS = (
         old="            weights.append(sum(1 for part in mu if part > j) - r - 1)\n",
         new="            weights.append(sum(1 for part in mu if part > j) - r)\n",
         test_ids=(
-            "tests/test_hall_littlewood.py::TestExpansions::test_hll_column",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
             "tests/test_hall_littlewood.py::TestExpansions::test_census_reads_each_word_as_maj_stat_and_pides[2,1]",
             "tests/test_cli.py::TestRecordedDigests::test_stdout_matches_recorded_sha256",
         ),
@@ -261,6 +310,27 @@ MUTANTS = (
             "tests/test_hall_littlewood.py::TestInvZeroFillings::test_333_count",
             "tests/test_hall_littlewood.py::TestInvZeroFillings::test_row_shape",
             "tests/test_hall_littlewood.py::TestInvZeroFillings::test_census_and_inversion_free[2]",
+        ),
+    ),
+    Mutant(
+        # one Schur-positive shape is enough for "all_positive": true
+        name="positivity-aggregate-with-or",
+        file="src/quasischur/cli.py",
+        old="        all_positive = all_positive and positive\n",
+        new="        all_positive = all_positive or positive\n",
+        test_ids=(
+            "tests/test_cli.py::TestPositivity::test_one_shape_not_positive",
+        ),
+    ),
+    Mutant(
+        # the zero polynomial exceeds --max-n 0
+        name="zero-polynomial-degree-one",
+        file="src/quasischur/polynomial.py",
+        old="        return max(map(sum, self._terms), default=0)\n",
+        new="        return max(map(sum, self._terms), default=1)\n",
+        test_ids=(
+            "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[no-terms]",
+            "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[terms-cancel]",
         ),
     ),
 )

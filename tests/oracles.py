@@ -6,7 +6,8 @@ decompositions, Robinson-Schensted insertion with both tableaux, one step of
 the exchange rule, monomial quasisymmetric polynomials, expansions evaluated
 as polynomials, symmetry by swapping variables, the textbook filling
 statistics (Filling, maj_stat and pides, with inverse_permutation and
-descent_set) that the package's census is read against, the symmetry of the
+descent_set) that the package's census is read against, the census read
+word by word, the symmetry of the
 inversion-free filling sum, the full Haglund filling sum, and the
 Hall-Littlewood Schur expansion by cocharge.
 
@@ -20,13 +21,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations
 from math import factorial
-from operator import add
+from operator import add, gt
 from typing import Iterator
 
 from quasischur.combinatorics import Composition, Partition, WeakComposition, composition_of_set
-from quasischur.hall_littlewood import hl_fundamental_expansion
+from quasischur.hall_littlewood import hl_fundamental_expansion, inv_zero_fillings
 from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt
 from quasischur.quasisym import Expansion, fundamental, is_symmetric_expansion
 from quasischur.schur import schur_ssyt
@@ -324,6 +325,30 @@ def pides(sigma) -> Composition:
     sigma = tuple(sigma)
     return composition_of_set(descent_set(inverse_permutation(sigma)), len(sigma))
 
+
+def reference_census(mu) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(mask, maj, word) for each word of inv_zero_fillings(mu), every word
+    read on its own: the reading that the package's census replaces by one
+    reading per lower part.  mask has bit i set when i + 1 sits after i + 2
+    in word, i.e. when i + 1 is a descent of word^-1; maj sums the weights
+    of the column descents between vertically adjacent cells."""
+    mu = Partition(mu)
+    # the cell in column j of row r (0 = bottom) sits at position
+    # starts[r] + j of the reading word, and a descent between rows r + 1
+    # and r in column j has weight height(j) - r - 1
+    starts = [sum(mu[r + 1 :]) for r in range(len(mu))]
+    ups, downs, weights = [], [], []
+    for r in range(len(mu) - 1):
+        for j in range(mu[r + 1]):
+            ups.append(starts[r + 1] + j)
+            downs.append(starts[r] + j)
+            weights.append(sum(1 for part in mu if part > j) - r - 1)
+    positions = range(mu.weight)
+    bits = [1 << i for i in range(mu.weight - 1)]
+    for word in inv_zero_fillings(mu):
+        where = sorted(positions, key=word.__getitem__)
+        maj = sum(compress(weights, [word[u] > word[d] for u, d in zip(ups, downs)]))
+        yield sum(compress(bits, map(gt, where, where[1:]))), maj, word
 
 
 def symmetry_check(mu) -> bool:

@@ -146,6 +146,22 @@ class TestFexpand:
         code, out, _ = run_cli(capsys, "fexpand", "--text", "-")
         assert (code, out) == (0, "(1 + -3*q*t^2)*F[]\n")
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            pytest.param([], id="no-terms"),
+            pytest.param(
+                [{"exps": e, "coeff": [[0, 0, c]]} for c in (1, -1) for e in ([1, 0], [0, 1])],
+                id="terms-cancel",
+            ),
+        ],
+    )
+    def test_zero_polynomial_is_degree_zero(self, capsys, monkeypatch, terms):
+        # the zero polynomial is within any size bound, even --max-n 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"vars": 2, "terms": terms})))
+        code, out, err = run_cli(capsys, "fexpand", "--max-n", "0", "-")
+        assert (code, out, err) == (0, '{"basis":"F","degree":0,"terms":[]}\n', "")
+
     @pytest.mark.parametrize("spoiled", ["[[0,0,true]]", "[[0,0,1.0]]", "[[0.0,0,1]]"])
     def test_array_equal_to_a_read_one_is_still_checked(self, capsys, monkeypatch, spoiled):
         # each of these equals [[0,0,1]] in Python but not in JSON, so a
@@ -733,6 +749,21 @@ class TestPositivity:
         doc = json.loads(out)
         assert doc["all_positive"] is True
         assert len(doc["shapes"]) == 5
+
+    def test_one_shape_not_positive(self, capsys, monkeypatch):
+        # every shape is Schur positive, so the refusal is reached only by
+        # making the check fail for one shape of several
+        real = cli.is_schur_positive
+        refused = cli.hll_expansion((2, 1, 1))
+        monkeypatch.setattr(cli, "is_schur_positive", lambda e: e != refused and real(e))
+        code, out, _ = run_cli(capsys, "positivity", "4")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["shapes"] == [
+            {"mu": list(mu), "positive": mu != (2, 1, 1)}
+            for mu in [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        ]
+        assert doc["all_positive"] is False
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_non_positive_weight_rejected(self, capsys, n):

@@ -1,4 +1,5 @@
-from itertools import permutations
+from itertools import islice, permutations
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from quasischur.hall_littlewood import (
     ExperimentReport,
     _census,
     _force_row,
+    _tail_table,
     hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
@@ -41,6 +43,7 @@ from oracles import (
     inverse_permutation,
     maj_stat,
     pides,
+    reference_census,
     rsk_insert,
     symmetry_check,
 )
@@ -267,6 +270,24 @@ class TestInvZeroFillings:
                 count += 1
             assert count == decomposition_count(mu)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_words_of_a_lower_part_are_consecutive(self, n):
+        # the order _census reads in chunks: k! words per lower part, sharing
+        # their last n - k letters, their tails the increasing free values
+        # in itertools.permutations order
+        for mu in partitions_of(n):
+            k = mu.count(1)
+            words = inv_zero_fillings(mu)
+            lower_parts = set()
+            while chunk := list(islice(words, factorial(k))):
+                lower = chunk[0][k:]
+                assert lower not in lower_parts, (mu, lower)
+                lower_parts.add(lower)
+                assert [word[k:] for word in chunk] == [lower] * factorial(k), mu
+                free = sorted(set(range(1, n + 1)) - set(lower))
+                assert [word[:k] for word in chunk] == list(permutations(free)), mu
+            assert len(lower_parts) * factorial(k) == decomposition_count(mu)
+
     @pytest.mark.parametrize("mu", ORACLE_SHAPES + WEIGHT_EIGHT, ids=shape_id)
     def test_matches_reference_walk(self, mu):
         words = list(inv_zero_fillings(mu))
@@ -316,6 +337,38 @@ class TestExpansions:
         for mask, maj, word in _census(mu):
             assert _composition_of_mask(mask, mu.weight) == tuple(pides(word)), word
             assert maj == maj_stat(Filling.from_reading_word(mu, word)), word
+
+    @pytest.mark.parametrize(
+        "n", list(range(9)) + [pytest.param(9, marks=pytest.mark.slow)]
+    )
+    def test_census_matches_reference_census(self, n):
+        for mu in partitions_of(n):
+            census, reference = _census(mu), reference_census(mu)
+            for read, expected in zip(census, reference):
+                assert read == expected, mu
+            # both end together
+            assert next(census, None) is None and next(reference, None) is None, mu
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_tail_table_reads_permutations(self, k):
+        def inverse_bits(perm):
+            # bit a when the letter a sits after a + 1
+            word = tuple(v + 1 for v in perm)
+            return sum(1 << (a - 1) for a in descent_set(inverse_permutation(word)))
+
+        idesc, majdes, des, ends, shifts = _tail_table(k)
+        sigmas = list(permutations(range(k - 1)))
+        assert len(idesc) == len(majdes) == len(des) == len(ends) == len(sigmas)
+        for i, sigma in enumerate(sigmas):
+            descents = descent_set(sigma)
+            assert idesc[i] == inverse_bits(sigma), sigma
+            assert (majdes[i], des[i]) == (sum(descents) + len(descents), len(descents)), sigma
+            assert ends[i] == sigma[0] * (k - 1) + sigma[-1], sigma
+        # block p of the k-letter tails is p followed by sigma relabelled
+        for p, shift in enumerate(shifts):
+            for i, sigma in enumerate(sigmas):
+                tail = (p,) + tuple(v + (v >= p) for v in sigma)
+                assert shift[idesc[i]] == inverse_bits(tail), tail
 
     def test_one_row_haglund_anchor(self):
         # forces the inversion-triple orientation: inv(21) = 1, inv(12) = 0

@@ -6,8 +6,6 @@ from .combinatorics import (
     Composition,
     Partition,
     WeakComposition,
-    composition_of_set,
-    compositions_of,
     pad,
     partitions_of,
     rsk_shape,
@@ -43,8 +41,6 @@ __all__ = [
     "Composition",
     "Partition",
     "WeakComposition",
-    "composition_of_set",
-    "compositions_of",
     "pad",
     "partitions_of",
     "rsk_shape",

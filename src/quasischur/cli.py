@@ -11,6 +11,7 @@ import functools
 import gc
 import json
 import os
+import re
 import sys
 
 from .combinatorics import Composition, Partition, WeakComposition, partitions_of
@@ -39,10 +40,19 @@ class CliError(Exception):
         self.code = code
 
 
+def _integer(text: str) -> int:
+    """text as an int: an optional sign and ASCII digits, between optional
+    whitespace.  This is the one integer rule of the command line; int()
+    alone would also read digit separators and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(piece) for piece in text.split(","))
-    except ValueError:
+        return tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise CliError(f"expected comma-separated integers, got {text!r}")
 
 
@@ -90,8 +100,8 @@ def _within_bound(args, what: str, size: int) -> None:
     if max_n is None:
         env = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N))
         try:
-            max_n = int(env)
-        except ValueError:
+            max_n = _integer(env)
+        except argparse.ArgumentTypeError:
             raise CliError(f"{ENV_MAX_N} must be an integer, got {env!r}")
     if size > max_n:
         raise CliError(f"{what} {size} exceeds bound {max_n}")
@@ -173,7 +183,7 @@ def cmd_positivity(args) -> int:
 
 
 def _add_max_n(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=_integer, default=None,
                    help=f"size bound (default: ${ENV_MAX_N}, else {DEFAULT_MAX_N})")
 
 
@@ -195,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fundamental", help="expand a fundamental quasisymmetric polynomial")
     p.add_argument("alpha", help="composition, e.g. 2,1")
-    p.add_argument("--vars", type=int, default=None, help="variable count (default: weight)")
+    p.add_argument("--vars", type=_integer, default=None, help="variable count (default: weight)")
     p.add_argument("--text", action="store_true", help="human-readable output")
     _add_max_n(p)
     p.set_defaults(func=cmd_fundamental)
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hll)
 
     p = sub.add_parser("positivity", help="check Schur positivity for all shapes of a weight")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     _add_max_n(p)
     p.set_defaults(func=cmd_positivity)
 

@@ -71,23 +71,7 @@ class Partition(_Parts):
 def set_of_composition(alpha: Composition) -> frozenset[int]:
     """Partial sums of alpha excluding the total, a subset of {1..n-1}."""
     alpha = Composition(alpha)
-    acc = 0
-    out = []
-    for part in alpha[:-1]:
-        acc += part
-        out.append(acc)
-    return frozenset(out)
-
-
-def composition_of_set(s, n: int) -> Composition:
-    """Inverse of set_of_composition for subsets of {1..n-1}."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    points = sorted(s)
-    if any(not 1 <= p <= n - 1 for p in points):
-        raise ValueError(f"descent set {points} not contained in 1..{n - 1}")
-    bounds = [0] + points + [n]
-    return Composition(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
+    return frozenset(accumulate(alpha[:-1]))
 
 
 def pad(alpha, n: int) -> WeakComposition:
@@ -100,8 +84,8 @@ def pad(alpha, n: int) -> WeakComposition:
 
 def _mask_of_composition(alpha) -> int:
     """Set(alpha) as a bitmask, bit i-1 standing for the point i, read off the
-    partial sums of alpha; () has mask 0.  This is the position of alpha in
-    compositions_of, and the one descent-mask encoding of the package."""
+    partial sums of alpha; () has mask 0.  This is the one descent-mask
+    encoding of the package, and _composition_of_mask its inverse."""
     return sum(1 << (point - 1) for point in accumulate(alpha[:-1]))
 
 
@@ -113,15 +97,6 @@ def _composition_of_mask(mask: int, n: int) -> tuple[int, ...]:
         return ()
     bounds = [0, *(i for i in range(1, n) if mask >> (i - 1) & 1), n]
     return tuple(map(sub, bounds[1:], bounds))
-
-
-def compositions_of(n: int) -> Iterator[Composition]:
-    """All 2^(n-1) compositions of n, lexicographic on the descent set: the
-    composition at position mask is _composition_of_mask(mask, n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for mask in range(1 << (n - 1)):
-        yield Composition(_composition_of_mask(mask, n))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

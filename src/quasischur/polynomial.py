@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .combinatorics import _INT_ONLY, _ints, permutation_sign
 
@@ -201,10 +201,6 @@ class QT(_SparseMap):
     def integer(cls, n: int) -> "QT":
         return cls({(0, 0): n})
 
-    @classmethod
-    def term(cls, coeff: int, qexp: int = 0, texp: int = 0) -> "QT":
-        return cls({(qexp, texp): coeff})
-
     def _operand(self, other):
         if isinstance(other, int):
             return QT.integer(other)
@@ -239,13 +235,6 @@ class QT(_SparseMap):
         """Serialized form: [[qexp, texp, coeff], ...] sorted by (qexp, texp)."""
         return [[qe, te, c] for (qe, te), c in self.sorted_terms()]
 
-    @classmethod
-    def from_triples(cls, triples: Iterable[Iterable[int]]) -> "QT":
-        """Read the serialized form; equal (qexp, texp) pairs are added."""
-        out: dict[tuple[int, int], int] = {}
-        _add_triples(out, triples)
-        return QT_ZERO._wrap(out)
-
     @staticmethod
     def _str_term(term) -> str:
         (qe, te), c = term
@@ -261,8 +250,6 @@ class QT(_SparseMap):
 
 QT_ZERO = QT()
 QT_ONE = QT.integer(1)
-Q = QT.term(1, qexp=1)
-T = QT.term(1, texp=1)
 
 
 def _as_qt(value) -> QT:

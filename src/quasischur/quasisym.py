@@ -65,9 +65,6 @@ class Expansion(_SparseMap):
 
     _coeff = staticmethod(_as_qt)
 
-    def coefficient(self, index) -> QT:
-        return self._terms.get(tuple(index), QT_ZERO)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], QT]]:
         return sorted(self._terms.items())
 
@@ -174,12 +171,11 @@ def _subset_sums(terms, n: int, sign: int) -> list[tuple[tuple[int, ...], QT]]:
     for alpha, coeff in terms:
         c[_mask_of_composition(alpha)] = coeff
     combine = QT.__add__ if sign > 0 else QT.__sub__
-    bit = 1
-    while bit < len(c):
+    for i in range(n - 1):
+        bit = 1 << i
         for mask in range(len(c)):
             if mask & bit and c[mask ^ bit]:
                 c[mask] = combine(c[mask], c[mask ^ bit])
-        bit <<= 1
     return [(_composition_of_mask(mask, n), coeff) for mask, coeff in enumerate(c)]
 
 

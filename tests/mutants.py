@@ -128,8 +128,8 @@ MUTANTS = (
         # the pass for the descent position 1 is skipped
         name="subset-sums-bit-skipped",
         file="src/quasischur/quasisym.py",
-        old="    bit = 1\n    while bit < len(c):\n",
-        new="    bit = 2\n    while bit < len(c):\n",
+        old="    for i in range(n - 1):\n        bit = 1 << i\n",
+        new="    for i in range(1, n - 1):\n        bit = 1 << i\n",
         test_ids=(
             "tests/test_quasisym.py::TestExtract::test_h_n_is_single_fundamental[2]",
             "tests/test_quasisym.py::TestExtractMatchesReference::test_every_small_sign_vector[3]",
@@ -332,5 +332,50 @@ MUTANTS = (
             "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[no-terms]",
             "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[terms-cancel]",
         ),
+    ),
+    Mutant(
+        # int() reads digit separators and non-ASCII digits as numbers
+        name="integer-rule-falls-back-to-int",
+        file="src/quasischur/cli.py",
+        old=(
+            '    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:\n'
+            '        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")\n'
+            "    return int(text)\n"
+        ),
+        new=(
+            "    try:\n"
+            "        return int(text)\n"
+            "    except ValueError:\n"
+            '        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")\n'
+        ),
+        test_ids=(
+            "tests/test_cli.py::TestIntegerRule::test_refused[straighten-wide-and-arabic-digits]",
+            "tests/test_cli.py::TestIntegerRule::test_refused[max-n-separator]",
+            "tests/test_cli.py::TestIntegerRule::test_refused[positivity-arabic-digit]",
+            "tests/test_cli.py::TestIntegerRule::test_refused[environment-wide-digit]",
+        ),
+    ),
+    Mutant(
+        # a function that neither the command line nor a demo calls
+        name="unreached-function-added",
+        file="src/quasischur/combinatorics.py",
+        old="    return -1 if (len(perm) - cycles) % 2 else 1\n",
+        new=(
+            "    return -1 if (len(perm) - cycles) % 2 else 1\n"
+            "\n"
+            "\n"
+            "def _unreached():\n"
+            "    pass\n"
+        ),
+        test_ids=("tests/test_reach.py::test_every_function_is_reached_or_allowlisted",),
+    ),
+    Mutant(
+        # the same difference, taken through the allowlisted QT.__rsub__,
+        # which the allowlist then names although it is reached
+        name="allowlisted-function-reached",
+        file="src/quasischur/quasisym.py",
+        old="    combine = QT.__add__ if sign > 0 else QT.__sub__\n",
+        new="    combine = QT.__add__ if sign > 0 else lambda a, b: b.__rsub__(a)\n",
+        test_ids=("tests/test_reach.py::test_every_function_is_reached_or_allowlisted",),
     ),
 )

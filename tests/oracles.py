@@ -12,8 +12,10 @@ inversion-free filling sum, the full Haglund filling sum, and the
 Hall-Littlewood Schur expansion by cocharge.
 
 The ring operations that build the tests' polynomials live here too, since
-no route in the package needs them: the constants zero and one, monomials
-and variables, the product and the product by a scalar.
+no route in the package needs them: the variables q and t of the coefficient
+ring, the constants zero and one, monomials and variables, the product and
+the product by a scalar.  So do the enumerators that only the tests walk:
+every composition of n, and the composition of a descent set.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ from math import factorial
 from operator import add, gt
 from typing import Iterator
 
-from quasischur.combinatorics import Composition, Partition, WeakComposition, composition_of_set
+from quasischur.combinatorics import (
+    Composition,
+    Partition,
+    WeakComposition,
+    _composition_of_mask,
+)
 from quasischur.hall_littlewood import hl_fundamental_expansion, inv_zero_fillings
 from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt
 from quasischur.quasisym import Expansion, fundamental, is_symmetric_expansion
@@ -34,6 +41,9 @@ from quasischur.schur import schur_ssyt
 
 
 # the polynomial ring
+
+Q = QT({(1, 0): 1})
+T = QT({(0, 1): 1})
 
 
 def zero(nvars: int) -> SparsePoly:
@@ -70,6 +80,29 @@ def scalar_mul(p: SparsePoly, scalar) -> SparsePoly:
     """The product of p by an element of Z[q,t] or an int."""
     scalar = _as_qt(scalar)
     return SparsePoly(p.nvars, {e: c * scalar for e, c in p.terms()})
+
+
+# compositions
+
+
+def composition_of_set(s, n: int) -> Composition:
+    """Inverse of set_of_composition for subsets of {1..n-1}."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    points = sorted(s)
+    if any(not 1 <= p <= n - 1 for p in points):
+        raise ValueError(f"descent set {points} not contained in 1..{n - 1}")
+    bounds = [0] + points + [n]
+    return Composition(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
+
+
+def compositions_of(n: int) -> Iterator[Composition]:
+    """All 2^(n-1) compositions of n in the order of their descent masks: the
+    composition at position mask is _composition_of_mask(mask, n)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    for mask in range(1 << (n - 1)):
+        yield Composition(_composition_of_mask(mask, n))
 
 
 # polynomials
@@ -388,7 +421,7 @@ def haglund_expansion(mu) -> Expansion:
     mu = Partition(mu)
     terms: dict[tuple[int, ...], QT] = {}
     for f in all_fillings(mu):
-        coeff = QT.term(1, qexp=inv_stat(f), texp=maj_stat(f))
+        coeff = QT({(inv_stat(f), maj_stat(f)): 1})
         index = tuple(pides(f.reading_word))
         new = terms.get(index, QT_ZERO) + coeff
         if new:
@@ -484,5 +517,5 @@ def cocharge_expansion(mu) -> Expansion:
     for tableau in semistandard_tableaux(mu):
         shape = tuple(map(len, tableau))
         cocharge = n_mu - charge(chain.from_iterable(reversed(tableau)))
-        terms[shape] = terms.get(shape, QT_ZERO) + QT.term(1, texp=cocharge)
+        terms[shape] = terms.get(shape, QT_ZERO) + QT({(0, cocharge): 1})
     return Expansion("s", mu.weight, terms)

@@ -1,6 +1,8 @@
 """The package's public names: exactly the documented API, with the test-only
-oracles, the deleted division stack, the deleted involution wrapper types and
-the filling statistics that moved to the tests absent."""
+oracles, the deleted division stack, the deleted involution wrapper types,
+the filling statistics and composition enumerators that moved to the tests,
+and the coefficient constructors and readers that only the tests used,
+absent."""
 
 import quasischur
 
@@ -8,8 +10,6 @@ PUBLIC = [
     "Composition",
     "Partition",
     "WeakComposition",
-    "composition_of_set",
-    "compositions_of",
     "pad",
     "partitions_of",
     "rsk_shape",
@@ -49,15 +49,21 @@ DELETED = [
     "pides",
 ]
 
-# code only the tests use, now free functions in tests/oracles.py
+# code only the tests use: free functions and constants in tests/oracles.py,
+# or gone where the tests build the value through what the package keeps
 MOVED = {
-    quasischur: ["symmetry_check"],
+    quasischur: ["symmetry_check", "compositions_of", "composition_of_set"],
     quasischur.hall_littlewood: ["symmetry_check", "Filling", "maj_stat", "pides"],
-    quasischur.combinatorics: ["inverse_permutation", "descent_set"],
+    quasischur.combinatorics: [
+        "inverse_permutation", "descent_set", "compositions_of", "composition_of_set"
+    ],
     quasischur.SparsePoly: [
         "scalar_mul", "monomial", "variable", "zero", "one", "__mul__", "__rmul__"
     ],
+    quasischur.polynomial: ["Q", "T"],
     quasischur.polynomial._SparseMap: ["_product"],
+    quasischur.QT: ["term", "from_triples"],
+    quasischur.Expansion: ["coefficient"],
 }
 
 

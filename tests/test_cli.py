@@ -678,6 +678,60 @@ class TestSizeBound:
         assert (code, json.loads(out)) == (0, self.E10_S)
 
 
+class TestIntegerRule:
+    """Every integer of the command line, in argv or in QUASISCHUR_MAX_N, is an
+    optional sign and ASCII digits between optional whitespace; int() alone
+    would read digit separators and non-ASCII digits as numbers."""
+
+    @staticmethod
+    def run(capsys, monkeypatch, argv, env):
+        monkeypatch.delenv("QUASISCHUR_MAX_N", raising=False)
+        if env is not None:
+            monkeypatch.setenv("QUASISCHUR_MAX_N", env)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["straighten", "\uff11,\u0663"], None),
+            (["straighten", "1_0"], None),
+            (["hll", "2,1", "--max-n", "1_0"], None),
+            (["positivity", "\u0663"], None),
+            (["fundamental", "2,1", "--vars", "\uff13"], None),
+            (["hll", "2,1"], "\uff14"),
+        ],
+        ids=["straighten-wide-and-arabic-digits", "straighten-separator",
+             "max-n-separator", "positivity-arabic-digit", "vars-wide-digit",
+             "environment-wide-digit"],
+    )
+    def test_refused(self, capsys, monkeypatch, argv, env):
+        code, out, err = self.run(capsys, monkeypatch, argv, env)
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]
+        ], err
+
+    @pytest.mark.parametrize(
+        "argv, env, want",
+        [
+            (["straighten", " 1, +3 "], None, "-s[2,2]\n"),
+            (["hll", "--text", "2,1", "--max-n", " 3 "], None, None),
+            (["positivity", "+1 "], None, None),
+            (["hll", "--text", "2,1"], " 3\t", None),
+        ],
+        ids=["straighten-spaces-and-sign", "max-n-spaces", "positivity-sign", "environment-tab"],
+    )
+    def test_sign_and_surrounding_whitespace_accepted(self, capsys, monkeypatch, argv, env, want):
+        code, out, err = self.run(capsys, monkeypatch, argv, env)
+        assert (code, err) == (0, "")
+        assert want is None or out == want
+
+
 class TestVerifyInvolution:
     def test_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify-involution", "2,1")

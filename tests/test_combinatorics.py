@@ -9,8 +9,6 @@ from quasischur.combinatorics import (
     WeakComposition,
     _composition_of_mask,
     _mask_of_composition,
-    composition_of_set,
-    compositions_of,
     pad,
     partitions_of,
     permutation_sign,
@@ -18,7 +16,14 @@ from quasischur.combinatorics import (
     set_of_composition,
 )
 
-from oracles import decomposition_count, decompositions, inverse_permutation, rsk_insert
+from oracles import (
+    composition_of_set,
+    compositions_of,
+    decomposition_count,
+    decompositions,
+    inverse_permutation,
+    rsk_insert,
+)
 
 compositions = st.integers(1, 7).flatmap(
     lambda n: st.sampled_from(list(compositions_of(n)))

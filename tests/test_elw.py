@@ -6,7 +6,6 @@ import pytest
 import quasischur.elw as elw
 from quasischur.combinatorics import (
     Composition,
-    compositions_of,
     pad,
     partitions_of,
     set_of_composition,
@@ -22,7 +21,7 @@ from quasischur.polynomial import SparsePoly, staircase
 from quasischur.quasisym import Expansion, extract_f_expansion
 from quasischur.schur import schur_ssyt, straighten
 
-from oracles import antisymmetrize, expansion_to_poly, monomial
+from oracles import antisymmetrize, compositions_of, expansion_to_poly, monomial
 from test_quasisym import reference_words
 
 

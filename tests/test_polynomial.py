@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasischur.combinatorics import permutation_sign
-from quasischur.polynomial import QT, QT_ONE, Q, T, SparsePoly, class_map, staircase
+from quasischur.polynomial import QT, QT_ONE, SparsePoly, class_map, staircase
 from quasischur.quasisym import Expansion
 from quasischur.schur import schur_ssyt
 
 from oracles import (
+    Q,
+    T,
     antisymmetrize,
     is_symmetric,
     monomial,
@@ -56,8 +58,10 @@ class TestQT:
         assert Q * T == T * Q
 
     def test_triples_round_trip(self):
-        value = QT.integer(3) + Q * T * T - T
-        assert QT.from_triples(value.triples()) == value
+        # a polynomial in no variables is its one coefficient
+        p = SparsePoly(0, {(): QT.integer(3) + Q * T * T - T})
+        assert p.to_json_dict()["terms"][0]["coeff"] == [[0, 0, 3], [0, 1, -1], [1, 2, 1]]
+        assert SparsePoly.from_json_dict(p.to_json_dict()) == p
 
     def test_str(self):
         assert str(QT_ONE + Q * T * T) == "1 + q*t^2"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasischur import elw
-from quasischur.combinatorics import compositions_of, partitions_of, set_of_composition
-from quasischur.polynomial import Q, QT, QT_ZERO, SparsePoly, T
+from quasischur.combinatorics import partitions_of, set_of_composition
+from quasischur.polynomial import QT, QT_ZERO, SparsePoly
 from quasischur.quasisym import (
     Expansion,
     _exponents,
@@ -19,6 +19,9 @@ from quasischur.quasisym import (
 from quasischur.schur import schur_ssyt
 
 from oracles import (
+    Q,
+    T,
+    compositions_of,
     expansion_to_poly,
     is_symmetric,
     monomial,

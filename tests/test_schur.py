@@ -3,11 +3,20 @@ from operator import add
 
 import pytest
 
-from quasischur.combinatorics import compositions_of, pad, partitions_of
+from quasischur.combinatorics import pad, partitions_of
 from quasischur.polynomial import SparsePoly, class_map, staircase
 from quasischur.schur import SignedSchur, schur_ssyt, straighten
 
-from oracles import antisymmetrize, is_symmetric, monomial, mul, one, straighten_once, variable
+from oracles import (
+    antisymmetrize,
+    compositions_of,
+    is_symmetric,
+    monomial,
+    mul,
+    one,
+    straighten_once,
+    variable,
+)
 
 
 def is_schur_by_class_map(f, lam, n):

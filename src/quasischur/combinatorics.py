@@ -111,6 +111,23 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition((first,) + tuple(rest))
 
 
+def _row_insert(rows: list[list[int]], value: int) -> int:
+    """Schensted row insertion of value into the tableau rows, top row
+    first, in place: value bumps the least entry of a row greater than it
+    into the next row, until an entry lands at the end of a row.  Returns
+    the index of the row that grew."""
+    r = 0
+    for row in rows:
+        bump = bisect_right(row, value)
+        if bump == len(row):
+            row.append(value)
+            return r
+        row[bump], value = value, row[bump]
+        r += 1
+    rows.append([value])
+    return r
+
+
 def rsk_shape(sigma) -> Partition:
     """Shape of the Schensted tableaux of a permutation word.
 
@@ -124,14 +141,7 @@ def rsk_shape(sigma) -> Partition:
         raise ValueError(f"{sigma} is not a permutation of 1..{n}")
     rows: list[list[int]] = []
     for value in sigma:
-        for row in rows:
-            bump = bisect_right(row, value)
-            if bump == len(row):
-                row.append(value)
-                break
-            row[bump], value = value, row[bump]
-        else:
-            rows.append([value])
+        _row_insert(rows, value)
     # row insertion keeps the row lengths weakly decreasing, so the shape
     # needs none of Partition's checks
     return tuple.__new__(Partition, map(len, rows))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Iterator
@@ -10,7 +11,16 @@ from typing import Iterator
 from .combinatorics import Composition, pad, set_of_composition
 from .polynomial import _accumulate, class_map, staircase
 from .quasisym import Expansion, _exponents, fundamental_words
-from .schur import straighten
+from .schur import SignedSchur, straighten
+
+
+@lru_cache(maxsize=None)
+def _straightened(alpha: tuple[int, ...]) -> SignedSchur:
+    """straighten(alpha) for a composition alpha, a plain tuple, once per
+    process: the F indices of every expansion here are compositions of a
+    few degrees, read over and over.  straighten itself stays uncached, for
+    the weak compositions that verify_involution reads once each."""
+    return straighten(alpha)
 
 
 def elw_to_schur(e: Expansion) -> Expansion:
@@ -27,7 +37,7 @@ def elw_to_schur(e: Expansion) -> Expansion:
         # alpha has positive parts, so padding it with zeros to n parts only
         # appends a staircase tail below its shifted entries: unpadded, it
         # straightens to the same value without touching n entries
-        normal = straighten(alpha)
+        normal = _straightened(alpha)
         if normal.is_zero():
             continue
         _accumulate(terms, tuple(normal.shape), coeff * normal.sign)

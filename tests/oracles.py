@@ -2,14 +2,14 @@
 
 Each is a slow, direct evaluation that a faster or division-free route in the
 package is compared against: the n!-expanding antisymmetrizer, ordered set
-decompositions, Robinson-Schensted insertion with both tableaux, one step of
-the exchange rule, monomial quasisymmetric polynomials, expansions evaluated
-as polynomials, symmetry by swapping variables, the textbook filling
-statistics (Filling, maj_stat and pides, with inverse_permutation and
-descent_set) that the package's census is read against, the census read
-word by word, the symmetry of the
-inversion-free filling sum, the full Haglund filling sum, and the
-Hall-Littlewood Schur expansion by cocharge.
+decompositions, Robinson-Schensted insertion with both tableaux, the hook
+length formula, one step of the exchange rule, monomial quasisymmetric
+polynomials, expansions evaluated as polynomials, symmetry by swapping
+variables, the textbook filling statistics (Filling, maj_stat and pides, with
+inverse_permutation and descent_set) that the package's census is read
+against, the census read word by word, the symmetry of the inversion-free
+filling sum, the full Haglund filling sum, and the Hall-Littlewood Schur
+expansion by cocharge.
 
 The ring operations that build the tests' polynomials live here too, since
 no route in the package needs them: the variables q and t of the coefficient
@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress, permutations
-from math import factorial
+from math import factorial, prod
 from operator import add, gt
 from typing import Iterator
 
@@ -256,6 +256,24 @@ def inverse_permutation(sigma) -> tuple[int, ...]:
 def descent_set(word) -> frozenset[int]:
     """Positions i with word[i] > word[i+1] (1-indexed)."""
     return frozenset(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+
+
+def hook_lengths(shape) -> list[int]:
+    """The hook length of each cell of a partition's diagram: the cells to
+    its right in its row, below it in its column, and itself."""
+    shape = tuple(shape)
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+    return [
+        (part - j - 1) + (columns[j] - i - 1) + 1
+        for i, part in enumerate(shape)
+        for j in range(part)
+    ]
+
+
+def standard_tableau_count(shape) -> int:
+    """The number of standard Young tableaux of a partition shape, by the
+    hook length formula of Frame, Robinson and Thrall (EC2 Cor. 7.21.6)."""
+    return factorial(sum(shape)) // prod(hook_lengths(shape))
 
 
 # Schur functions and quasisymmetric expansions

@@ -6,6 +6,7 @@ import pytest
 import quasischur.elw as elw
 from quasischur.combinatorics import (
     Composition,
+    _composition_of_mask,
     pad,
     partitions_of,
     set_of_composition,
@@ -17,6 +18,7 @@ from quasischur.elw import (
     locate_block,
     verify_involution,
 )
+from quasischur.hall_littlewood import _standard_tableaux
 from quasischur.polynomial import SparsePoly, staircase
 from quasischur.quasisym import Expansion, extract_f_expansion
 from quasischur.schur import schur_ssyt, straighten
@@ -96,6 +98,35 @@ class TestElwToSchur:
         for lam in partitions_of(n):
             e = extract_f_expansion(schur_ssyt(lam, n))
             assert elw_to_schur(e) == Expansion("s", n, {tuple(lam): 1})
+
+
+def gessel_expansion(lam) -> Expansion:
+    """s_lambda as the sum over its standard tableaux T of F_Des(T), i a
+    descent of T when i + 1 lies in a strictly lower row (Gessel 1984;
+    Stanley, EC2 Thm. 7.19.7)."""
+    n = sum(lam)
+    masks = Counter(mask for mask, _ in _standard_tableaux(lam))
+    return Expansion("F", n, {_composition_of_mask(mask, n): c for mask, c in masks.items()})
+
+
+class TestReplacementTheorem:
+    """The paper's theorem by the Schur basis: the s_lambda span the symmetric
+    functions of degree n and the replacement is linear, so it holds at
+    degree n exactly when it sends Gessel's expansion of every s_lambda,
+    lambda a partition of n, to s_lambda.  Tier-1 checks every degree up to
+    12 (140,152 tableaux at 12), the slow tier 13 and 14."""
+
+    @pytest.mark.parametrize(
+        "n", list(range(13)) + [pytest.param(n, marks=pytest.mark.slow) for n in (13, 14)]
+    )
+    def test_every_schur_function_is_fixed(self, n):
+        for lam in partitions_of(n):
+            assert elw_to_schur(gessel_expansion(lam)) == Expansion("s", n, {tuple(lam): 1}), lam
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gessel_expansion_matches_the_tableau_polynomial(self, n):
+        for lam in partitions_of(n):
+            assert gessel_expansion(lam) == extract_f_expansion(schur_ssyt(lam, n)), lam
 
 
 class TestConstrainedMonomials:

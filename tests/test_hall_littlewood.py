@@ -1,4 +1,4 @@
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from math import factorial
 
 import pytest
@@ -16,7 +16,11 @@ from quasischur.hall_littlewood import (
     ExperimentReport,
     _census,
     _force_row,
+    _schensted_kept,
+    _schensted_table,
+    _standard_tableaux,
     _tail_table,
+    _tally,
     hl_fundamental_expansion,
     hll_expansion,
     inv_zero_fillings,
@@ -41,12 +45,14 @@ from oracles import (
     decompositions,
     descent_set,
     haglund_expansion,
+    hook_lengths,
     inv_stat,
     inverse_permutation,
     maj_stat,
     pides,
     reference_census,
     rsk_insert,
+    standard_tableau_count,
     symmetry_check,
 )
 
@@ -407,6 +413,104 @@ class TestExpansions:
     def test_schur_positive_refuses_the_f_basis(self):
         with pytest.raises(ValueError, match="s basis"):
             is_schur_positive(hl_fundamental_expansion((2, 1)))
+
+
+def t_product(a, b):
+    """The product of two polynomials in t given as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestStandardTableaux:
+    @pytest.mark.parametrize("k", range(11))
+    def test_count_is_the_hook_length_formula(self, k):
+        for nu in partitions_of(k):
+            tableaux = list(_standard_tableaux(nu))
+            assert len(tableaux) == len(set(tableaux)) == standard_tableau_count(nu), nu
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_each_is_a_standard_tableau_with_its_descents(self, k):
+        for nu in partitions_of(k):
+            for mask, word in _standard_tableaux(nu):
+                rows = [[a + 1 for a in range(k) if word[a] == r] for r in range(len(nu))]
+                assert tuple(map(len, rows)) == nu, word
+                # rows increase by construction; columns must increase too
+                for upper, lower in zip(rows, rows[1:]):
+                    assert all(x < y for x, y in zip(upper, lower)), rows
+                descents = {a + 1 for a in range(k - 1) if word[a + 1] > word[a]}
+                assert mask == sum(1 << (i - 1) for i in descents), rows
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_table_lists_each_tableau_as_its_rows(self, k):
+        for nu, (masks, entries, bounds, _) in zip(partitions_of(k), _schensted_table(k)):
+            tableaux = list(_standard_tableaux(nu))
+            assert list(masks) == [mask for mask, _ in tableaux], nu
+            assert len(entries) == k * len(tableaux), nu
+            for i, (_, word) in enumerate(tableaux):
+                block = entries[i * k:(i + 1) * k]
+                rows = [list(block[start:end]) for start, end in bounds]
+                assert rows == [[a for a in range(k) if word[a] == r] for r in range(len(nu))]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_q_counts_follow_the_q_hook_formula(self, k):
+        # sum over Q of t^maj(Q) = t^b(nu) [k]_t! / prod over the cells of
+        # [hook]_t (Stanley, EC2 Cor. 7.21.5), checked multiplied out
+        for nu, (*_, q_counts) in zip(partitions_of(k), _schensted_table(k)):
+            maj_sum = [0] * (k * (k - 1) // 2 + 1)
+            for (maj, _), count in q_counts:
+                maj_sum[maj] += count
+            for hook in hook_lengths(nu):
+                maj_sum = t_product(maj_sum, [1] * hook)
+            expected = [0] * sum(i * part for i, part in enumerate(nu)) + [1]
+            for i in range(1, k + 1):
+                expected = t_product(expected, [1] * i)
+            while maj_sum[-1] == 0:
+                maj_sum.pop()
+            assert maj_sum == expected, nu
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_q_counts_place_k_at_each_corner(self, k):
+        # k sits at the end of row r in as many tableaux Q as nu less that
+        # cell has standard tableaux, when that cell is a corner
+        for nu, (*_, q_counts) in zip(partitions_of(k), _schensted_table(k)):
+            for r in range(len(nu)):
+                corner = r == len(nu) - 1 or nu[r] > nu[r + 1]
+                smaller = tuple(part - (i == r) for i, part in enumerate(nu) if part - (i == r))
+                expected = standard_tableau_count(smaller) if corner else 0
+                assert sum(c for (_, row), c in q_counts if row == r) == expected, (nu, r)
+
+
+class TestSchenstedKept:
+    @pytest.mark.parametrize(
+        "n", list(range(9)) + [pytest.param(9, marks=pytest.mark.slow)]
+    )
+    def test_matches_rsk_per_word(self, n):
+        # every lower part of every shape, whatever the tail length: the
+        # kept tally by Schensted pairs against rsk_shape on each word
+        normals = {}
+
+        def normal_of(mask):
+            if mask not in normals:
+                normals[mask] = straighten(_composition_of_mask(mask, n))
+            return normals[mask]
+
+        for mu in partitions_of(n):
+            k = mu.count(1)
+            census = _census(mu)
+            for first in census:
+                expected = _tally()
+                for mask, maj, word in chain((first,), islice(census, factorial(k) - 1)):
+                    normal = normal_of(mask)
+                    if normal.sign > 0 and rsk_shape(word) == normal.shape:
+                        expected[mask][maj] += 1
+                kept = _tally()
+                _schensted_kept(kept, normal_of, *first, k)
+                assert {mask: dict(majs) for mask, majs in kept.items()} == {
+                    mask: dict(majs) for mask, majs in expected.items()
+                }, (mu, first)
 
 
 class TestCocharge:

@@ -51,7 +51,7 @@ class WeakComposition(_Parts):
 
     def __new__(cls, parts) -> "WeakComposition":
         parts = _ints(parts)
-        if any(p < 0 for p in parts):
+        if parts and min(parts) < 0:
             raise ValueError(f"weak composition parts must be >= 0, got {parts}")
         return super().__new__(cls, parts)
 

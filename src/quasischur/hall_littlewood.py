@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat
 from math import factorial
-from operator import add, gt, itemgetter
+from operator import add, floordiv, gt, itemgetter, mod
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -23,14 +23,13 @@ from .elw import _straightened, elw_to_schur
 from .polynomial import QT
 from .quasisym import Expansion
 
-# _census reads the one-cell tails of at least _MIN_TABLE_TAIL letters off
-# _tail_table, and shorter ones word by word; leftover_experiment counts the
-# kept fillings of the tails of at least _MIN_SCHENSTED_TAIL letters by
-# Schensted pairs, and inserts each plus-class word of the shorter ones.
-# Each is the shortest tail on which its faster route won when the two were
-# timed per tail length on the partitions of 8 and 9.
+# A one-cell tail of at least _MIN_TABLE_TAIL letters is counted per lower
+# part: _census tallies its words from _tail_counts, and leftover_experiment
+# counts its kept fillings by Schensted pairs.  Shorter tails are read, and
+# their plus-class words inserted, word by word.  It is the shortest tail on
+# which the per-lower-part route won when the two were timed per tail
+# length on the partitions of 8 and 9.
 _MIN_TABLE_TAIL = 3
-_MIN_SCHENSTED_TAIL = 4
 
 
 def _force_row(row_below: tuple[int, ...], entries: Iterable[int]) -> tuple[int, ...]:
@@ -51,11 +50,11 @@ def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     each left to right.
 
     A depth-first walk from the bottom row up: level i picks row i's entries
-    from the values not yet used.  The bottom row holds its entries in
-    increasing order; each higher row of two or more cells is the forced
-    inversion-free ordering of its entries over the row already chosen below
-    it, so a forced row is computed once per shared lower part of the
-    filling.  From the first one-cell row up every row has one cell, and a
+    from the values not yet used, by the index pickers of _splits.  The
+    bottom row holds its entries in increasing order; each higher row of two
+    or more cells is the forced inversion-free ordering of its entries over
+    the row already chosen below it, so a forced row is computed once per
+    shared lower part of the filling.  From the first one-cell row up every row has one cell, and a
     one-cell row makes no inversion triple, so those rows take the remaining
     values in every order: one permutation of them, prefixed to the word of
     the lower part.  Once per lower part the walk checks that its rows have
@@ -67,6 +66,10 @@ def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     mu.count(1), the k! words of one lower part come consecutively, share
     their last n - k letters, and their first k letters run through
     itertools.permutations of the remaining values in increasing order.
+    From k = _MIN_TABLE_TAIL on, _census reads only the first word of each
+    lower part and drains the other k! - 1 unread, so every word is still
+    yielded, one walk per shape; it counts the words it drains, and raises
+    ValueError when a lower part's words do not come k! in a row.
     """
     mu = Partition(mu)
     values = list(range(1, mu.weight + 1))
@@ -74,8 +77,10 @@ def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
     tail = next((i for i, part in enumerate(mu) if part == 1), len(mu))
     lengths = tuple(mu[:tail])
     parts = [((), tuple(values))]
+    size = mu.weight  # every part of one level has as many free values
     for length in lengths:
-        parts = _add_row(parts, length)
+        parts = _add_row(parts, _splits(size, length))
+        size -= length
     for rows, free in parts:
         if tuple(map(len, rows)) != lengths or sorted(chain(free, *rows)) != values:
             raise ValueError(
@@ -85,47 +90,65 @@ def inv_zero_fillings(mu) -> Iterator[tuple[int, ...]]:
         yield from map(add, permutations(free), repeat(lower_word))
 
 
-def _add_row(parts, length: int) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+def _add_row(parts, splits: list[tuple]) -> Iterator[tuple[tuple, tuple[int, ...]]]:
     """Each (rows, free) of parts, rows listed bottom up and free the values
-    not in them, extended by every row of the given length over the top row.
+    not in them, extended over the top row by every row that the splits of
+    _splits pick from free.
 
     One generator per level, each reading the level below it: a lower part
     passes through no generator above its own level, and a walk leaves no
     reference cycle for the cyclic GC to free."""
     for rows, free in parts:
-        # combinations are increasing, which is the bottom row's order
-        for block in combinations(free, length):
+        for pick, rest in splits:
+            # the picked values are increasing, which is the bottom row's order
+            block = pick(free)
             row = _force_row(rows[-1], block) if rows else block
-            yield rows + (row,), tuple(v for v in free if v not in block)
+            yield rows + (row,), rest(free)
+
+
+def _splits(size: int, length: int) -> list[tuple]:
+    """(pick, rest) for each choice of length of size positions, in
+    itertools.combinations order: pick takes a tuple's values at the chosen
+    positions and rest its values at the others, each as a tuple in
+    increasing position.  Built once per level of a walk, so that the level
+    splits its free values by two C-level reads per row; a cache of them
+    per process held 130 KB after a weight-8 sweep."""
+    positions = range(size)
+    return [
+        (_picker(chosen), _picker([i for i in positions if i not in chosen]))
+        for chosen in combinations(positions, length)
+    ]
 
 
 def _picker(positions: list[int]):
     """itemgetter for positions that returns a tuple for any count."""
     if len(positions) >= 2:
         return itemgetter(*positions)
-    return lambda word: tuple(word[p] for p in positions)
+    return lambda word: tuple(map(word.__getitem__, positions))
 
 
-def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
-    """(mask, maj, word) for each reading word of inv_zero_fillings(mu), the
-    one reading of the filling statistics behind every expansion here.
+def _census(mu: Partition, table) -> Iterator[tuple[int, int, tuple]]:
+    """Tally every reading word of inv_zero_fillings(mu) into table, a
+    _tally, by its descent mask and maj; yield (mask, maj, word) for each
+    word read on its own.  This is the one reading of the filling
+    statistics behind every expansion here.
 
     mask is the descent set of word^-1 as an int, bit i standing for the
     point i + 1, so the descent composition of word^-1 (pides) is
     _composition_of_mask(mask, n); maj is the sum over the columns of the
     major index of each column read top to bottom.
 
-    The walk yields one chunk of k! words per lower part (k = mu.count(1)),
-    which differ only in their tail, the first k letters.  The chunk's first
-    word is read in one pass: the mask from the positions of i and i + 1,
-    maj from the positions of the vertically adjacent cells.  From k =
-    _MIN_TABLE_TAIL letters on, the other words of the chunk take their mask
-    and maj from _tail_table(k) and _lower_part's reading of the first
-    word: a pair of free values i, i + 1 is a descent when the tail puts i
-    after i + 1, the tail's column-1 descents add the tail's maj, and its
-    last letter adds k when it exceeds the column-1 cell of the top lower
-    row, which it sits on.  Shorter tails read each word in the one pass,
-    which is faster than the table's lookups for k = 2."""
+    A word is read in one pass: the mask from the positions of i and i + 1,
+    maj from the positions of the vertically adjacent cells.  With a
+    one-cell tail of k = mu.count(1) < _MIN_TABLE_TAIL letters every word
+    is read so, tallied and yielded.  From k = _MIN_TABLE_TAIL letters on,
+    the walk yields one chunk of k! words per lower part, which differ only
+    in their tail, the first k letters.  Only the chunk's first word is
+    read; _tail_block tallies the whole chunk from it, and the census yields
+    that first word once the other k! - 1 have been drained unread.  The
+    drain counts them, and raises ValueError when the walk yields more or
+    fewer than k! words for one lower part, which would misalign every
+    chunk after it."""
     # the cell in column j of row r (0 = bottom) sits at position
     # starts[r] + j of the reading word, which lists the rows top down, and a
     # descent between rows r + 1 and r in column j sits at position
@@ -141,8 +164,8 @@ def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
     n, k = mu.weight, mu.count(1)
     positions = range(n)
     bits = [1 << i for i in range(n - 1)]
-    if k >= _MIN_TABLE_TAIL:
-        idesc, majdes, _, ends, shifts = _tail_table(k)
+    rest = factorial(k) - 1  # the words of a chunk after its first
+    previous = None  # the lower word of the chunk before
     words = inv_zero_fillings(mu)
     for word in words:
         # where[v - 1] is the position of v in word; i is a descent of
@@ -150,28 +173,36 @@ def _census(mu: Partition) -> Iterator[tuple[int, int, tuple]]:
         where = sorted(positions, key=word.__getitem__)
         maj = sum(compress(weights, map(gt, up(word), down(word))))
         mask = sum(compress(bits, map(gt, where, where[1:])))
-        if k < _MIN_TABLE_TAIL:
-            yield mask, maj, word
-            continue
-        r, lower, spread = _lower_part(mask, maj, word, k)
-        # junction[a]: maj of the chunk's word whose tail ends in free[a],
-        # less the tail's own maj; free[a] exceeds the cell below it when
-        # a >= r
-        junction = [lower + (k if a >= r else 0) for a in range(k)]
-        for p, shift in enumerate(shifts):
-            # block p: the tails p.sigma', for which p is a descent at
-            # position 1 over the first p * (k - 2)! sigmas, those with
-            # sigma[0] < p; lookup[ends[i]] is junction at the tail's last
-            # letter, plus that descent
-            ends_p = junction[:p] + junction[p + 1 :]
-            lookup = [m + 1 for m in ends_p] * p + ends_p * (k - 1 - p)
-            # zip pulls left to right, so it takes one word per column entry,
-            # and block 0 starts with the word read above
-            yield from zip(
-                map(list(map(spread.__getitem__, shift)).__getitem__, idesc),
-                map(add, map(lookup.__getitem__, ends), majdes),
-                chain((word,), words) if p == 0 else words,
-            )
+        if k >= _MIN_TABLE_TAIL:
+            # the last of the chunk's other words, and its number from 1
+            last = deque(zip(islice(words, rest), range(1, rest + 1)), maxlen=1)
+            drained, number = last[0] if last else ((), 0)
+            lower_word = word[k:]
+            if number != rest or drained[k:] != lower_word or lower_word == previous:
+                raise ValueError(
+                    f"the walk of {mu} did not yield {rest + 1} words in a row "
+                    f"for the lower word {lower_word}"
+                )
+            previous = lower_word
+            _tail_block(table, mask, maj, word, k)
+        else:
+            table[mask][maj] += 1
+        yield mask, maj, word
+
+
+def _tail_block(table, mask: int, maj: int, word: tuple[int, ...], k: int) -> None:
+    """Tally into table the k! words of one lower part, from the first of
+    them, (mask, maj, word) of _census: the words pi.L, pi an ordering of
+    the free values word[:k] and L the lower word.  A pair of free values i,
+    i + 1 is a descent when pi puts i after i + 1, so the word's mask is
+    spread[x] for x pi's inverse-descent bits; pi's column-1 descents add
+    maj(pi), and its last letter adds k when it exceeds the column-1 cell of
+    the top lower row, which it sits on.  So the chunk is one read of
+    _tail_counts(k, r) with _lower_part's r, lower and spread."""
+    r, lower, spread = _lower_part(mask, maj, word, k)
+    xs, ms, counts = _tail_counts(k, r)
+    for x, m, tails in zip(xs, ms, counts):
+        table[spread[x]][lower + m] += tails
 
 
 def _lower_part(
@@ -202,44 +233,74 @@ def _lower_part(
 
 
 @lru_cache(maxsize=None)
-def _tail_table(k: int) -> tuple[array, array, array, array, list[list[int]]]:
-    """The one-cell tails of k >= 2 letters, read block by block off columns
-    over the (k - 1)! permutations sigma of range(k - 1), in
-    itertools.permutations order.  Block p, p in range(k), is the tails
-    p.sigma', sigma' being sigma relabelled onto range(k) without p; the
-    blocks in order are the k! tails in itertools.permutations order.
+def _tail_stats(k: int) -> tuple[array, array, array, array]:
+    """The k! one-cell tails pi of k >= 1 letters, range(k) in every order,
+    counted by (x, maj, last): x is pi's inverse-descent bits, bit a when a
+    sits after a + 1, maj is maj(pi) and last is pi's last letter.  Returns
+    the columns (xs, majs, lasts, counts) over the distinct triples, built
+    by _appended from those of k - 1 letters.  Built once per process and k;
+    the cache hands the same arrays to every caller, which only read them."""
+    if k == 1:
+        return array("I", [0]), array("H", [0]), array("B", [0]), array("Q", [1])
+    width = k * (k - 1) // 2 + 1  # maj(pi) <= k(k - 1)/2
+    span = width << (k - 1)  # above every x * width + maj
+    tally = _appended(k, width, [last * span for last in range(k)])
+    return (
+        array("I", map(floordiv, map(mod, tally, repeat(span)), repeat(width))),
+        array("H", map(mod, tally, repeat(width))),
+        array("B", map(floordiv, tally, repeat(span))),
+        array("Q", tally.values()),
+    )
 
-    Returns (idesc, majdes, des, ends, shifts): idesc[i] the inverse-descent
-    bits of sigma (bit a when a sits after a + 1), majdes[i] = maj(sigma) +
-    des(sigma), des[i] = des(sigma), ends[i] = sigma[0] * (k - 1) +
-    sigma[-1], and shifts[p][x] the inverse-descent bits of p.sigma' for
-    those x of sigma: the bits below p - 1 stay, bit p - 1 is set (p - 1
-    sits after p), sigma's bit p - 1 is dropped and its bits from p on move
-    up one.  The columns for k are those for k - 1 read the same way, block
-    by block: p.sigma' has a descent at position 1 when p > sigma[0], and
-    its other descents are sigma's, one position further down.  The cache
-    hands the same arrays and lists to every caller, which only read them."""
-    j = k - 1
-    patterns = range(1 << (j - 1))  # sigma's inverse-descent bits
-    shifts = [[x << 1 for x in patterns]]
-    for p in range(1, k):
-        low, bit = (1 << (p - 1)) - 1, 1 << (p - 1)
-        shifts.append([x & low | bit | x >> p << (p + 1) for x in patterns])
-    if k == 2:
-        return array("I", [0]), array("I", [0]), array("B", [0]), array("H", [0]), shifts
-    # sigma = q.tau' for the permutations tau of range(m), the level below
-    m = j - 1
-    tau_idesc, tau_majdes, tau_des, tau_ends, tau_shifts = _tail_table(j)
-    idesc, majdes, des, ends = array("I"), array("I"), array("B"), array("H")
-    for q, shift in enumerate(tau_shifts):
-        # q > tau[0] for the first q * (m - 1)! taus
-        first = q * factorial(m - 1)
-        idesc.extend(map(shift.__getitem__, tau_idesc))
-        majdes.extend(map(add, map(add, tau_majdes, tau_des), chain(repeat(2, first), repeat(0))))
-        des.extend(map(add, tau_des, chain(repeat(1, first), repeat(0))))
-        relabel = [q * j + last + (last >= q) for last in range(m)] * m
-        ends.extend(map(relabel.__getitem__, tau_ends))
-    return idesc, majdes, des, ends, shifts
+
+@lru_cache(maxsize=None)
+def _tail_counts(k: int, r: int) -> tuple[array, array, array]:
+    """The k! one-cell tails pi of k >= 2 letters counted by (x, m): x is
+    pi's inverse-descent bits, as in _tail_stats, and m is maj(pi) plus the
+    junction term, k when pi's last letter is at least r.  Returns the
+    columns (xs, ms, counts) over the distinct pairs, built by _appended
+    from _tail_stats(k - 1), so that no table of k letters but these is
+    kept.  Built once per process and (k, r); the cache hands the same
+    arrays to every caller, which only read them."""
+    width = k * (k + 1) // 2 + 1  # m <= maj(pi) + k
+    junction = [k if last >= r else 0 for last in range(k)]
+    tally = _appended(k, width, junction)
+    return (
+        array("I", map(floordiv, tally, repeat(width))),
+        array("H", map(mod, tally, repeat(width))),
+        array("Q", tally.values()),
+    )
+
+
+def _appended(k: int, width: int, extra: list[int]) -> defaultdict:
+    """The tails pi of k >= 2 letters counted by x * width + maj(pi) +
+    extra[l], x pi's inverse-descent bits and l its last letter, from the
+    triples of _tail_stats(k - 1).  Each caller picks width and extra so
+    that it can read back what it keeps: _tail_stats puts l above every
+    x * width + maj, and _tail_counts adds the junction term to maj.
+
+    pi = sigma'.l, sigma' a tail sigma of k - 1 letters relabelled onto
+    range(k) without l.  pi keeps sigma's bits below l - 1, clears bit l - 1
+    (l - 1 sits before l), sets bit l (l sits after l + 1), drops sigma's
+    bit l - 1, of the pair l - 1, l + 1, and moves sigma's bits from l on up
+    one.  It keeps sigma's descents and adds one at position k - 1 when
+    sigma' ends above l, which is when sigma's last letter is at least l.
+    The loop runs over the distinct triples of k - 1 letters, k times, and
+    never over the k! tails."""
+    xs, majs, lasts, counts = _tail_stats(k - 1)
+    tally = defaultdict(int)
+    for last in range(k):
+        low = (1 << last - 1) - 1 if last else 0
+        bit = 1 << last if last < k - 1 else 0
+        scaled = [
+            (x & low | bit | x >> last << (last + 1)) * width + extra[last]
+            for x in range(1 << (k - 2))
+        ]
+        descent = [k - 1 if end >= last else 0 for end in range(k - 1)]
+        keys = map(add, map(add, map(scaled.__getitem__, xs), majs), map(descent.__getitem__, lasts))
+        for key, tails in zip(keys, counts):
+            tally[key] += tails
+    return tally
 
 
 def _standard_tableaux(shape) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -288,7 +349,7 @@ def _schensted_table(k: int) -> tuple[tuple[array, bytes, list, tuple], ...]:
     from the top, each row increasing; bounds holds the (start, end) slice
     of each row within them.  Read as recording tableaux Q: q_counts lists
     ((maj, row of k), count), maj the sum of Q's descents.  The columns are
-    compact, as _tail_table's are: a list of row lists per tableau raised
+    compact, as _tail_stats's are: a list of row lists per tableau raised
     the peak memory of a weight-8 sweep by 0.6 MB, 3%.  Built once per
     process and k; the cache hands the same objects to every caller, which
     only read them."""
@@ -363,14 +424,13 @@ def hl_fundamental_expansion(mu) -> Expansion:
     """F-expansion of the modified Hall-Littlewood polynomial: the q = 0
     specialization, i.e. the sum over inversion-free fillings of t^maj F_pides.
 
-    The fillings of _census are counted into a _tally, and _f_expansion
-    reads the sum off it, as in leftover_experiment.  The tests check this
+    _census counts the fillings into a _tally, and _f_expansion reads the
+    sum off it, as in leftover_experiment.  The tests check this
     sum against their reference maj_stat and pides over an independent walk,
     and against cocharge through hll_expansion."""
     mu = Partition(mu)
     table = _tally()
-    for mask, maj, _ in _census(mu):
-        table[mask][maj] += 1
+    deque(_census(mu, table), maxlen=0)
     return _f_expansion(mu.weight, table)
 
 
@@ -414,12 +474,13 @@ def leftover_experiment(mu) -> ExperimentReport:
     Schensted shape matches the straightened shape, and compare the resulting
     sum against the true expansion, built from the same walk.
 
-    The fillings of _census are counted as in hl_fundamental_expansion,
-    every filling into the _tally table and the kept ones also into kept;
-    each descent mask is straightened once.  With a one-cell tail of k >=
-    _MIN_SCHENSTED_TAIL letters, _schensted_kept counts each lower part's
-    kept fillings from its first word, by the Schensted pairs of the tails;
-    otherwise each plus-class word's Schensted shape is found by rsk_shape.
+    _census counts every filling into the _tally table, as in
+    hl_fundamental_expansion, and the kept ones go into kept; each descent
+    mask is straightened once.  With a one-cell tail of k >= _MIN_TABLE_TAIL
+    letters, _census yields the first word of each lower part, and
+    _schensted_kept counts the lower part's kept fillings from it, by the
+    Schensted pairs of the tails; otherwise _census yields every word, and
+    each plus-class word's Schensted shape is found by rsk_shape.
     The class counts are read off table after the walk, and the true and
     conjectured Schur sides are elw_to_schur of _f_expansion of table and
     of kept: the kept fillings' F_pides each straighten to plus the Schur
@@ -429,20 +490,13 @@ def leftover_experiment(mu) -> ExperimentReport:
     table, kept = _tally(), _tally()
     # mask -> straightened Schur value of its pides
     normal_of = lru_cache(maxsize=None)(lambda mask: _straightened(_composition_of_mask(mask, n)))
-    census = _census(mu)
-    if k >= _MIN_SCHENSTED_TAIL:
-        # the k! words of a lower part come consecutively, the first with
-        # its tail increasing
-        for first in census:
-            for mask, maj, _ in chain((first,), islice(census, factorial(k) - 1)):
-                table[mask][maj] += 1
-            _schensted_kept(kept, normal_of, *first, k)
-    else:
-        for mask, maj, sigma in census:
-            table[mask][maj] += 1
-            normal = normal_of(mask)
-            if normal.sign > 0 and rsk_shape(sigma) == normal.shape:
-                kept[mask][maj] += 1
+    for mask, maj, word in _census(mu, table):
+        if k >= _MIN_TABLE_TAIL:
+            _schensted_kept(kept, normal_of, mask, maj, word, k)
+            continue
+        normal = normal_of(mask)
+        if normal.sign > 0 and rsk_shape(word) == normal.shape:
+            kept[mask][maj] += 1
     counts = Counter()  # sign of the straightened value -> filling count
     for mask, majs in table.items():
         counts[normal_of(mask).sign] += sum(majs.values())

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .combinatorics import Partition, WeakComposition
 from .polynomial import QT, SparsePoly, _sort_sign
@@ -32,14 +33,15 @@ class SignedSchur:
         return {"sign": self.sign, "shape": list(self.shape)}
 
     @classmethod
-    def zero(cls) -> "SignedSchur":
-        return cls(0, None)
-
-    @classmethod
     def of(cls, sign: int, shape) -> "SignedSchur":
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return cls(sign, Partition(shape))
+
+
+# the value of every s_gamma that straightens to zero, shared: SignedSchur is
+# frozen
+_ZERO = SignedSchur(0, None)
 
 
 def straighten(gamma) -> SignedSchur:
@@ -51,11 +53,11 @@ def straighten(gamma) -> SignedSchur:
     """
     gamma = WeakComposition(gamma)
     n = len(gamma)
-    shifted = tuple(gamma[j] + n - 1 - j for j in range(n))
+    shifted = tuple(map(add, gamma, range(n - 1, -1, -1)))
     if len(set(shifted)) != n:
-        return SignedSchur.zero()
+        return _ZERO
     sorted_shifted, sign = _sort_sign(shifted)
-    shape = [sorted_shifted[j] - (n - 1 - j) for j in range(n)]
+    shape = list(map(add, sorted_shifted, range(1 - n, 1)))
     while shape and shape[-1] == 0:
         shape.pop()
     return SignedSchur.of(sign, shape)

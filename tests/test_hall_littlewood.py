@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import chain, islice, permutations
 from math import factorial
 
@@ -14,12 +15,15 @@ from quasischur.combinatorics import (
 from quasischur import hall_littlewood
 from quasischur.hall_littlewood import (
     ExperimentReport,
+    _MIN_TABLE_TAIL,
     _census,
     _force_row,
     _schensted_kept,
     _schensted_table,
     _standard_tableaux,
-    _tail_table,
+    _tail_block,
+    _tail_counts,
+    _tail_stats,
     _tally,
     hl_fundamental_expansion,
     hll_expansion,
@@ -72,6 +76,18 @@ TAIL_SHAPES = [
 
 def shape_id(mu):
     return ",".join(map(str, mu))
+
+
+def plain(table):
+    """A _tally as plain dicts, for comparison."""
+    return {mask: dict(majs) for mask, majs in table.items()}
+
+
+def inverse_bits(perm):
+    """The inverse-descent bits of a permutation of range(k): bit a when a
+    sits after a + 1."""
+    word = tuple(v + 1 for v in perm)
+    return sum(1 << (a - 1) for a in descent_set(inverse_permutation(word)))
 
 
 def filling(shape, *rows):
@@ -340,43 +356,103 @@ class TestExpansions:
     def test_census_reads_each_word_as_maj_stat_and_pides(self, mu):
         # per word, since the sum cannot see a census that reverses every
         # mask: the coefficients of F_alpha and F_reverse(alpha) in a
-        # symmetric function agree
+        # symmetric function agree.  The census reads every word of a short
+        # tail, and the first word of each lower part of a long one.
         mu = Partition(mu)
-        for mask, maj, word in _census(mu):
+        k = mu.count(1)
+        chunk = factorial(k) if k >= _MIN_TABLE_TAIL else 1
+        read = []
+        for mask, maj, word in _census(mu, _tally()):
             assert _composition_of_mask(mask, mu.weight) == tuple(pides(word)), word
             assert maj == maj_stat(Filling.from_reading_word(mu, word)), word
+            read.append(word)
+        assert read == list(islice(inv_zero_fillings(mu), 0, None, chunk)), mu
 
     @pytest.mark.parametrize(
         "n", list(range(9)) + [pytest.param(9, marks=pytest.mark.slow)]
     )
     def test_census_matches_reference_census(self, n):
+        # lower part by lower part: what the census tallies for each word it
+        # reads, the whole chunk when the tail is long, against the
+        # reference's words read one at a time
         for mu in partitions_of(n):
-            census, reference = _census(mu), reference_census(mu)
-            for read, expected in zip(census, reference):
-                assert read == expected, mu
-            # both end together
-            assert next(census, None) is None and next(reference, None) is None, mu
+            k = mu.count(1)
+            chunk = factorial(k) if k >= _MIN_TABLE_TAIL else 1
+            reference = reference_census(mu)
+            table, expected_table = _tally(), _tally()
+            for mask, maj, word in _census(mu, table):
+                words = list(islice(reference, chunk))
+                assert (mask, maj, word) == words[0], mu
+                block, expected = _tally(), _tally()
+                if chunk > 1:
+                    _tail_block(block, mask, maj, word, k)
+                else:
+                    block[mask][maj] += 1
+                for read_mask, read_maj, _ in words:
+                    expected[read_mask][read_maj] += 1
+                    expected_table[read_mask][read_maj] += 1
+                assert plain(block) == plain(expected), (mu, word)
+            # both end together, and the census tallied every word
+            assert next(reference, None) is None, mu
+            assert plain(table) == plain(expected_table), mu
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda words, chunk: words[:2] + words[3:],
+            lambda words, chunk: words[:chunk] + words[chunk + 1 :],
+            lambda words, chunk: words[:-3] + words[-2:],
+            lambda words, chunk: words[:-1],
+            lambda words, chunk: words[:2] + words[1:],
+            lambda words, chunk: words + words[-1:],
+        ],
+        ids=[
+            "drop-in-the-first-lower-part",
+            "drop-the-first-word-of-the-second",
+            "drop-in-the-last-lower-part",
+            "drop-the-last-word",
+            "repeat-a-word",
+            "repeat-the-last-word",
+        ],
+    )
+    @pytest.mark.parametrize("mu", [(2, 1, 1, 1), (2, 1, 1, 1, 1)], ids=shape_id)
+    def test_census_refuses_a_misaligned_walk(self, monkeypatch, fault, mu):
+        # the census counts the words it drains: a lower part of more or
+        # fewer than k! words raises, rather than tallying every chunk after
+        # it out of line
+        real = hall_littlewood.inv_zero_fillings
+        chunk = factorial(mu.count(1))
+        monkeypatch.setattr(
+            hall_littlewood, "inv_zero_fillings", lambda shape: iter(fault(list(real(shape)), chunk))
+        )
+        with pytest.raises(ValueError, match="did not yield"):
+            hl_fundamental_expansion(mu)
+        with pytest.raises(ValueError, match="did not yield"):
+            leftover_experiment(mu)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_tail_table_reads_permutations(self, k):
+        # _tail_stats counts the tails by (inverse-descent bits, maj, last
+        # letter), against a count over itertools.permutations
+        expected = Counter(
+            (inverse_bits(tail), sum(descent_set(tail)), tail[-1])
+            for tail in permutations(range(k))
+        )
+        xs, majs, lasts, counts = _tail_stats(k)
+        assert len(xs) == len(majs) == len(lasts) == len(counts) == len(expected)
+        assert dict(zip(zip(xs, majs, lasts), counts)) == expected
 
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_tail_table_reads_permutations(self, k):
-        def inverse_bits(perm):
-            # bit a when the letter a sits after a + 1
-            word = tuple(v + 1 for v in perm)
-            return sum(1 << (a - 1) for a in descent_set(inverse_permutation(word)))
-
-        idesc, majdes, des, ends, shifts = _tail_table(k)
-        sigmas = list(permutations(range(k - 1)))
-        assert len(idesc) == len(majdes) == len(des) == len(ends) == len(sigmas)
-        for i, sigma in enumerate(sigmas):
-            descents = descent_set(sigma)
-            assert idesc[i] == inverse_bits(sigma), sigma
-            assert (majdes[i], des[i]) == (sum(descents) + len(descents), len(descents)), sigma
-            assert ends[i] == sigma[0] * (k - 1) + sigma[-1], sigma
-        # block p of the k-letter tails is p followed by sigma relabelled
-        for p, shift in enumerate(shifts):
-            for i, sigma in enumerate(sigmas):
-                tail = (p,) + tuple(v + (v >= p) for v in sigma)
-                assert shift[idesc[i]] == inverse_bits(tail), tail
+    def test_tail_counts_count_permutations(self, k):
+        # for every r: m is maj plus k when the last letter is at least r
+        for r in range(k + 1):
+            expected = Counter(
+                (inverse_bits(tail), sum(descent_set(tail)) + (k if tail[-1] >= r else 0))
+                for tail in permutations(range(k))
+            )
+            xs, ms, counts = _tail_counts(k, r)
+            assert len(xs) == len(ms) == len(counts) == len(expected), r
+            assert dict(zip(zip(xs, ms), counts)) == expected, r
 
     def test_one_row_haglund_anchor(self):
         # forces the inversion-triple orientation: inv(21) = 1, inv(12) = 0
@@ -499,18 +575,16 @@ class TestSchenstedKept:
 
         for mu in partitions_of(n):
             k = mu.count(1)
-            census = _census(mu)
-            for first in census:
+            reference = reference_census(mu)
+            for first in reference:
                 expected = _tally()
-                for mask, maj, word in chain((first,), islice(census, factorial(k) - 1)):
+                for mask, maj, word in chain((first,), islice(reference, factorial(k) - 1)):
                     normal = normal_of(mask)
                     if normal.sign > 0 and rsk_shape(word) == normal.shape:
                         expected[mask][maj] += 1
                 kept = _tally()
                 _schensted_kept(kept, normal_of, *first, k)
-                assert {mask: dict(majs) for mask, majs in kept.items()} == {
-                    mask: dict(majs) for mask, majs in expected.items()
-                }, (mu, first)
+                assert plain(kept) == plain(expected), (mu, first)
 
 
 class TestCocharge:

@@ -2,7 +2,9 @@
 
 A mutant is applied to a copy of src/, tests/ and pyproject.toml, so that
 pytest's `pythonpath` and tests/spawn.py both resolve to the copy, and the
-listed tests run there in a child pytest.
+listed tests run there in a child pytest, in the slow tier.  Tier-1 checks
+only that each mutant's old text occurs once in the checkout, so that an
+edit which outgrows an entry fails at once.
 """
 
 import re
@@ -23,6 +25,12 @@ def copy_checkout(dest: Path) -> None:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_old_text_occurs_once(mutant):
+    source = (ROOT / mutant.file).read_text()
+    assert source.count(mutant.old) == 1, f"{mutant.name}: old text must occur once"
 
 
 @pytest.mark.slow

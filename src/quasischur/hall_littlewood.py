@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat
 from math import factorial
-from operator import add, floordiv, gt, itemgetter, mod
+from operator import add, gt, itemgetter
 from typing import Iterable, Iterator
 
 from .combinatorics import (
@@ -20,7 +20,7 @@ from .combinatorics import (
     rsk_shape,
 )
 from .elw import _straightened, elw_to_schur
-from .polynomial import QT
+from .polynomial import QT_ZERO
 from .quasisym import Expansion
 
 # A one-cell tail of at least _MIN_TABLE_TAIL letters is counted per lower
@@ -127,10 +127,10 @@ def _picker(positions: list[int]):
     return lambda word: tuple(map(word.__getitem__, positions))
 
 
-def _census(mu: Partition, table) -> Iterator[tuple[int, int, tuple]]:
+def _census(mu: Partition, table) -> Iterator[tuple[int, int, tuple, tuple | None]]:
     """Tally every reading word of inv_zero_fillings(mu) into table, a
-    _tally, by its descent mask and maj; yield (mask, maj, word) for each
-    word read on its own.  This is the one reading of the filling
+    _tally, by its descent mask and maj; yield (mask, maj, word, part) for
+    each word read on its own.  This is the one reading of the filling
     statistics behind every expansion here.
 
     mask is the descent set of word^-1 as an int, bit i standing for the
@@ -144,11 +144,12 @@ def _census(mu: Partition, table) -> Iterator[tuple[int, int, tuple]]:
     is read so, tallied and yielded.  From k = _MIN_TABLE_TAIL letters on,
     the walk yields one chunk of k! words per lower part, which differ only
     in their tail, the first k letters.  Only the chunk's first word is
-    read; _tail_block tallies the whole chunk from it, and the census yields
-    that first word once the other k! - 1 have been drained unread.  The
-    drain counts them, and raises ValueError when the walk yields more or
-    fewer than k! words for one lower part, which would misalign every
-    chunk after it."""
+    read, with _lower_part's part, what the chunk's words share;
+    _tail_block tallies the whole chunk from part, and the census yields
+    that first word and part once the other k! - 1 have been drained
+    unread.  Shorter tails yield part None.  The drain counts the words,
+    and raises ValueError when the walk yields more or fewer than k! words
+    for one lower part, which would misalign every chunk after it."""
     # the cell in column j of row r (0 = bottom) sits at position
     # starts[r] + j of the reading word, which lists the rows top down, and a
     # descent between rows r + 1 and r in column j sits at position
@@ -165,7 +166,7 @@ def _census(mu: Partition, table) -> Iterator[tuple[int, int, tuple]]:
     positions = range(n)
     bits = [1 << i for i in range(n - 1)]
     rest = factorial(k) - 1  # the words of a chunk after its first
-    previous = None  # the lower word of the chunk before
+    previous = part = None  # the lower word and part of the chunk before
     words = inv_zero_fillings(mu)
     for word in words:
         # where[v - 1] is the position of v in word; i is a descent of
@@ -184,22 +185,22 @@ def _census(mu: Partition, table) -> Iterator[tuple[int, int, tuple]]:
                     f"for the lower word {lower_word}"
                 )
             previous = lower_word
-            _tail_block(table, mask, maj, word, k)
+            part = _lower_part(mask, maj, word, k)
+            _tail_block(table, part, k)
         else:
             table[mask][maj] += 1
-        yield mask, maj, word
+        yield mask, maj, word, part
 
 
-def _tail_block(table, mask: int, maj: int, word: tuple[int, ...], k: int) -> None:
-    """Tally into table the k! words of one lower part, from the first of
-    them, (mask, maj, word) of _census: the words pi.L, pi an ordering of
-    the free values word[:k] and L the lower word.  A pair of free values i,
-    i + 1 is a descent when pi puts i after i + 1, so the word's mask is
-    spread[x] for x pi's inverse-descent bits; pi's column-1 descents add
-    maj(pi), and its last letter adds k when it exceeds the column-1 cell of
-    the top lower row, which it sits on.  So the chunk is one read of
-    _tail_counts(k, r) with _lower_part's r, lower and spread."""
-    r, lower, spread = _lower_part(mask, maj, word, k)
+def _tail_block(table, part: tuple[int, int, list[int]], k: int) -> None:
+    """Tally into table the k! words pi.L of one lower part, pi an ordering
+    of its k free values and L the lower word, from part, _lower_part's (r,
+    lower, spread) of them.  A pair of free values i, i + 1 is a descent
+    when pi puts i after i + 1, so the word's mask is spread[x] for x pi's
+    inverse-descent bits; pi's column-1 descents add maj(pi), and its last
+    letter adds k when it exceeds the column-1 cell of the top lower row,
+    which it sits on.  So the chunk is one read of _tail_counts(k, r)."""
+    r, lower, spread = part
     xs, ms, counts = _tail_counts(k, r)
     for x, m, tails in zip(xs, ms, counts):
         table[spread[x]][lower + m] += tails
@@ -230,77 +231,6 @@ def _lower_part(
         bit = 1 << (s - 1) if free[a + 1] == s + 1 else 0
         spread += [m | bit for m in spread]
     return r, lower, spread
-
-
-@lru_cache(maxsize=None)
-def _tail_stats(k: int) -> tuple[array, array, array, array]:
-    """The k! one-cell tails pi of k >= 1 letters, range(k) in every order,
-    counted by (x, maj, last): x is pi's inverse-descent bits, bit a when a
-    sits after a + 1, maj is maj(pi) and last is pi's last letter.  Returns
-    the columns (xs, majs, lasts, counts) over the distinct triples, built
-    by _appended from those of k - 1 letters.  Built once per process and k;
-    the cache hands the same arrays to every caller, which only read them."""
-    if k == 1:
-        return array("I", [0]), array("H", [0]), array("B", [0]), array("Q", [1])
-    width = k * (k - 1) // 2 + 1  # maj(pi) <= k(k - 1)/2
-    span = width << (k - 1)  # above every x * width + maj
-    tally = _appended(k, width, [last * span for last in range(k)])
-    return (
-        array("I", map(floordiv, map(mod, tally, repeat(span)), repeat(width))),
-        array("H", map(mod, tally, repeat(width))),
-        array("B", map(floordiv, tally, repeat(span))),
-        array("Q", tally.values()),
-    )
-
-
-@lru_cache(maxsize=None)
-def _tail_counts(k: int, r: int) -> tuple[array, array, array]:
-    """The k! one-cell tails pi of k >= 2 letters counted by (x, m): x is
-    pi's inverse-descent bits, as in _tail_stats, and m is maj(pi) plus the
-    junction term, k when pi's last letter is at least r.  Returns the
-    columns (xs, ms, counts) over the distinct pairs, built by _appended
-    from _tail_stats(k - 1), so that no table of k letters but these is
-    kept.  Built once per process and (k, r); the cache hands the same
-    arrays to every caller, which only read them."""
-    width = k * (k + 1) // 2 + 1  # m <= maj(pi) + k
-    junction = [k if last >= r else 0 for last in range(k)]
-    tally = _appended(k, width, junction)
-    return (
-        array("I", map(floordiv, tally, repeat(width))),
-        array("H", map(mod, tally, repeat(width))),
-        array("Q", tally.values()),
-    )
-
-
-def _appended(k: int, width: int, extra: list[int]) -> defaultdict:
-    """The tails pi of k >= 2 letters counted by x * width + maj(pi) +
-    extra[l], x pi's inverse-descent bits and l its last letter, from the
-    triples of _tail_stats(k - 1).  Each caller picks width and extra so
-    that it can read back what it keeps: _tail_stats puts l above every
-    x * width + maj, and _tail_counts adds the junction term to maj.
-
-    pi = sigma'.l, sigma' a tail sigma of k - 1 letters relabelled onto
-    range(k) without l.  pi keeps sigma's bits below l - 1, clears bit l - 1
-    (l - 1 sits before l), sets bit l (l sits after l + 1), drops sigma's
-    bit l - 1, of the pair l - 1, l + 1, and moves sigma's bits from l on up
-    one.  It keeps sigma's descents and adds one at position k - 1 when
-    sigma' ends above l, which is when sigma's last letter is at least l.
-    The loop runs over the distinct triples of k - 1 letters, k times, and
-    never over the k! tails."""
-    xs, majs, lasts, counts = _tail_stats(k - 1)
-    tally = defaultdict(int)
-    for last in range(k):
-        low = (1 << last - 1) - 1 if last else 0
-        bit = 1 << last if last < k - 1 else 0
-        scaled = [
-            (x & low | bit | x >> last << (last + 1)) * width + extra[last]
-            for x in range(1 << (k - 2))
-        ]
-        descent = [k - 1 if end >= last else 0 for end in range(k - 1)]
-        keys = map(add, map(add, map(scaled.__getitem__, xs), majs), map(descent.__getitem__, lasts))
-        for key, tails in zip(keys, counts):
-            tally[key] += tails
-    return tally
 
 
 def _standard_tableaux(shape) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -349,10 +279,13 @@ def _schensted_table(k: int) -> tuple[tuple[array, bytes, list, tuple], ...]:
     from the top, each row increasing; bounds holds the (start, end) slice
     of each row within them.  Read as recording tableaux Q: q_counts lists
     ((maj, row of k), count), maj the sum of Q's descents.  The columns are
-    compact, as _tail_stats's are: a list of row lists per tableau raised
+    compact, as _tail_counts's are: a list of row lists per tableau raised
     the peak memory of a weight-8 sweep by 0.6 MB, 3%.  Built once per
     process and k; the cache hands the same objects to every caller, which
     only read them."""
+    majs = [0]  # majs[x]: the sum of the descents of the mask x
+    for a in range(k - 1):
+        majs += [m + a + 1 for m in majs]
     table = []
     for nu in partitions_of(k):
         masks, entries, q_counts = array("I"), bytearray(), Counter()
@@ -361,18 +294,58 @@ def _schensted_table(k: int) -> tuple[tuple[array, bytes, list, tuple], ...]:
             # sorted is stable: by row, and increasing along each row
             entries.extend(sorted(range(k), key=word.__getitem__))
             # with no tail the junction adds k = 0, whatever the row of k
-            q_counts[sum(a + 1 for a in range(k - 1) if x >> a & 1), word[k - 1] if k else 0] += 1
+            q_counts[majs[x], word[k - 1] if k else 0] += 1
         bounds = list(zip(accumulate(nu, initial=0), accumulate(nu)))
         table.append((masks, bytes(entries), bounds, tuple(q_counts.items())))
     return tuple(table)
 
 
-def _schensted_kept(kept, normal_of, mask: int, maj: int, word: tuple[int, ...], k: int) -> None:
+@lru_cache(maxsize=None)
+def _tail_counts(k: int, r: int) -> tuple[array, array, array]:
+    """The k! one-cell tails pi of k letters, range(k) in every order,
+    counted by (x, m): x is pi's inverse-descent bits, bit a when a sits
+    after a + 1, and m is maj(pi) plus the junction term, k when pi's last
+    letter is at least r: the columns (xs, ms, counts) over the distinct
+    pairs, a marginal of _schensted_table(k).  By the rule of
+    _schensted_kept, x is Des P, maj(pi) = maj(Q), and pi's last letter is
+    at least r exactly when the box that inserting r - 1/2 adds to P lies
+    in a strictly lower row than k in Q.  So each tableau P adds to x =
+    Des P the counts of the Q of its shape by m, read for the row of P's
+    box.  Built once per process and (k, r); the cache hands the same
+    arrays to every caller, which only read them."""
+    width = k * (k + 1) // 2 + 1  # m <= maj(pi) + k
+    tally = defaultdict(lambda: [0] * width)  # x -> tails by m
+    for masks, entries, bounds, q_counts in _schensted_table(k):
+        # by_row[b][m]: the tableaux Q of m = maj(Q) + junction, box in row b
+        by_row = [[0] * width for _ in range(len(bounds) + 1)]
+        for (q_maj, k_row), count in q_counts:
+            for b, q_tally in enumerate(by_row):
+                q_tally[q_maj + (k if b > k_row else 0)] += count
+        for i, x in enumerate(masks):
+            # r - 1/2 bumps the least entry of the top row that is at least
+            # r, and each bumped entry the least entry above it in the next
+            # row: the entries are distinct, so bisect_left finds both
+            value, base = r, i * k
+            for row, (start, end) in enumerate(bounds):
+                j = bisect_left(entries, value, base + start, base + end)
+                if j == base + end:
+                    break
+                value = entries[j]
+            else:
+                row = len(bounds)
+            tally[x] = list(map(add, tally[x], by_row[row]))
+    xs, ms, counts = zip(*(
+        (x, m, tails) for x, m_tally in tally.items() for m, tails in enumerate(m_tally) if tails
+    ))
+    return array("I", xs), array("H", ms), array("Q", counts)
+
+
+def _schensted_kept(kept, normal_of, part: tuple, word: tuple[int, ...], k: int) -> None:
     """Tally into kept the kept words of one lower part, from the first of
-    its k! words, (mask, maj, word) of _census: those words pi.L, pi an
-    ordering of the free values and L = word[k:] the lower word, whose mask
-    straightens, by normal_of, to +s_lambda with lambda the Schensted shape
-    of pi.L.
+    its k! words and its part, word and part of _census: those words pi.L,
+    pi an ordering of the free values and L = word[k:] the lower word, whose
+    mask straightens, by normal_of, to +s_lambda with lambda the Schensted
+    shape of pi.L.
 
     Everything this reads of pi factors through its Schensted pair (P, Q)
     (Schensted 1961; Stanley, EC2 7.11-7.23): the free pairs' bits are
@@ -383,7 +356,7 @@ def _schensted_kept(kept, normal_of, mask: int, maj: int, word: tuple[int, ...],
     whose mask is in the plus class, and when the shape matches adds the
     count of each (maj(Q), row of k) of P's shape.  With no lower row,
     mu = 1^n, there is no junction term."""
-    _, lower, spread = _lower_part(mask, maj, word, k)
+    _, lower, spread = part
     free, lower_word = word[:k], word[k:]
     for masks, entries, bounds, q_counts in _schensted_table(k):
         for i, x in enumerate(masks):
@@ -413,9 +386,10 @@ def _tally() -> defaultdict:
 
 
 def _f_expansion(n: int, table) -> Expansion:
-    """The sum of count * t^maj F_pides over a _tally of fillings of weight n."""
-    return Expansion("F", n, {
-        _composition_of_mask(mask, n): QT({(0, maj): count for maj, count in majs.items()})
+    """The sum of count * t^maj F_pides over a _tally of fillings of weight
+    n, built by _wrap unchecked: the census made every index and count."""
+    return Expansion("F", n)._wrap({
+        _composition_of_mask(mask, n): QT_ZERO._wrap({(0, maj): count for maj, count in majs.items()})
         for mask, majs in table.items()
     })
 
@@ -490,9 +464,9 @@ def leftover_experiment(mu) -> ExperimentReport:
     table, kept = _tally(), _tally()
     # mask -> straightened Schur value of its pides
     normal_of = lru_cache(maxsize=None)(lambda mask: _straightened(_composition_of_mask(mask, n)))
-    for mask, maj, word in _census(mu, table):
-        if k >= _MIN_TABLE_TAIL:
-            _schensted_kept(kept, normal_of, mask, maj, word, k)
+    for mask, maj, word, part in _census(mu, table):
+        if part is not None:
+            _schensted_kept(kept, normal_of, part, word, k)
             continue
         normal = normal_of(mask)
         if normal.sign > 0 and rsk_shape(word) == normal.shape:

@@ -95,8 +95,14 @@ MUTANTS = (
         # the tally's maj becomes a power of q instead of t
         name="f-expansion-puts-maj-on-q",
         file="src/quasischur/hall_littlewood.py",
-        old="        _composition_of_mask(mask, n): QT({(0, maj): count for maj, count in majs.items()})\n",
-        new="        _composition_of_mask(mask, n): QT({(maj, 0): count for maj, count in majs.items()})\n",
+        old=(
+            "        _composition_of_mask(mask, n): "
+            "QT_ZERO._wrap({(0, maj): count for maj, count in majs.items()})\n"
+        ),
+        new=(
+            "        _composition_of_mask(mask, n): "
+            "QT_ZERO._wrap({(maj, 0): count for maj, count in majs.items()})\n"
+        ),
         test_ids=(
             "tests/test_hall_littlewood.py::TestExpansions::test_hll_column",
             "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1]",
@@ -183,8 +189,8 @@ MUTANTS = (
         # a tail letter over a smaller cell of the top lower row adds no maj
         name="census-junction-weight-dropped",
         file="src/quasischur/hall_littlewood.py",
-        old="    junction = [k if last >= r else 0 for last in range(k)]\n",
-        new="    junction = [0] * k\n",
+        old="                q_tally[q_maj + (k if b > k_row else 0)] += count\n",
+        new="                q_tally[q_maj] += count\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[5]",
             "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1,1,1]",
@@ -204,12 +210,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # a tail loses its descent at position 1: the step from one letter
-        # to two adds none
+        # a tableau Q loses its descent at position 1 from maj(Q), and with
+        # it every tail whose first two letters descend
         name="census-block-without-the-position-1-descent",
         file="src/quasischur/hall_littlewood.py",
-        old="        descent = [k - 1 if end >= last else 0 for end in range(k - 1)]\n",
-        new="        descent = [k - 1 if end >= last and k > 2 else 0 for end in range(k - 1)]\n",
+        old="        majs += [m + a + 1 for m in majs]\n",
+        new="        majs += [m + a + 1 if a else m for m in majs]\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
             "tests/test_hall_littlewood.py::TestCocharge::test_matches_hll_expansion[3]",
@@ -217,16 +223,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # l sits after l + 1 in every tail sigma'.l, and the recursion
-        # forgets it
+        # the box is the one that inserting r + 1/2 adds, so a last letter
+        # equal to r adds no junction term
         name="tail-shift-without-the-bit-p-minus-1",
         file="src/quasischur/hall_littlewood.py",
-        old="        bit = 1 << last if last < k - 1 else 0\n",
-        new="        bit = 0\n",
+        old="            value, base = r, i * k\n",
+        new="            value, base = r + 1, i * k\n",
         test_ids=(
-            "tests/test_hall_littlewood.py::TestExpansions::test_tail_table_reads_permutations[2]",
-            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[3]",
-            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[1,1,1]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_tail_counts_count_permutations[2]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[5]",
+            "tests/test_hall_littlewood.py::TestExpansions::test_matches_reference_filling_sum[2,1,1,1]",
         ),
     ),
     Mutant(
@@ -291,11 +297,8 @@ MUTANTS = (
         # every Q counts as if k sat in the top row
         name="q-table-keyed-without-the-row-of-k",
         file="src/quasischur/hall_littlewood.py",
-        old=(
-            "            q_counts[sum(a + 1 for a in range(k - 1) if x >> a & 1), "
-            "word[k - 1] if k else 0] += 1\n"
-        ),
-        new="            q_counts[sum(a + 1 for a in range(k - 1) if x >> a & 1), 0] += 1\n",
+        old="            q_counts[majs[x], word[k - 1] if k else 0] += 1\n",
+        new="            q_counts[majs[x], 0] += 1\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestStandardTableaux::test_q_counts_place_k_at_each_corner[2]",
             "tests/test_hall_littlewood.py::TestSchenstedKept::test_matches_rsk_per_word[5]",
@@ -407,8 +410,8 @@ MUTANTS = (
         # the junction adds k - 1, the weight of the position below it
         name="tail-counts-junction-weight-k-minus-1",
         file="src/quasischur/hall_littlewood.py",
-        old="    junction = [k if last >= r else 0 for last in range(k)]\n",
-        new="    junction = [k - 1 if last >= r else 0 for last in range(k)]\n",
+        old="                q_tally[q_maj + (k if b > k_row else 0)] += count\n",
+        new="                q_tally[q_maj + (k - 1 if b > k_row else 0)] += count\n",
         test_ids=(
             "tests/test_hall_littlewood.py::TestExpansions::test_tail_counts_count_permutations[3]",
             "tests/test_hall_littlewood.py::TestExpansions::test_census_matches_reference_census[5]",

@@ -3,8 +3,9 @@
 A mutant is applied to a copy of src/, tests/ and pyproject.toml, so that
 pytest's `pythonpath` and tests/spawn.py both resolve to the copy, and the
 listed tests run there in a child pytest, in the slow tier.  Tier-1 checks
-only that each mutant's old text occurs once in the checkout, so that an
-edit which outgrows an entry fails at once.
+that each mutant's old text occurs once in the checkout, and that each
+listed test is one the session collected, so that an edit which outgrows
+an entry, or renames or deletes a listed test, fails at once.
 """
 
 import re
@@ -31,6 +32,26 @@ def copy_checkout(dest: Path) -> None:
 def test_old_text_occurs_once(mutant):
     source = (ROOT / mutant.file).read_text()
     assert source.count(mutant.old) == 1, f"{mutant.name}: old text must occur once"
+
+
+def test_listed_tests_are_collected(request):
+    # read off this session's own collection, so no child process.  Only the
+    # files that the session collected whole are judged: none under -k, and
+    # none that an argument names by a node id
+    config = request.config
+    if config.option.keyword:
+        pytest.skip("-k selects part of each file")
+    named = {Path(arg.split("::")[0]).resolve() for arg in config.args if "::" in arg}
+    items = request.session.items
+    collected = {item.nodeid for item in items}
+    files = {item.path for item in items} - named
+    stale = [
+        (mutant.name, test_id)
+        for mutant in MUTANTS
+        for test_id in mutant.test_ids
+        if config.rootpath / test_id.split("::")[0] in files and test_id not in collected
+    ]
+    assert not stale
 
 
 @pytest.mark.slow

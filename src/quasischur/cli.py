@@ -19,11 +19,13 @@ from .elw import elw_to_schur, verify_involution
 from .hall_littlewood import hll_expansion, is_schur_positive, leftover_experiment
 from .quasisym import (
     Expansion,
-    extract_f_expansion,
+    _census_degree,
+    _census_f_expansion,
+    _pattern_census,
     fundamental,
     is_symmetric_expansion,
 )
-from .polynomial import SparsePoly
+from .polynomial import _poly_document
 from .schur import straighten
 
 ENV_MAX_N = "QUASISCHUR_MAX_N"
@@ -127,10 +129,17 @@ def cmd_fundamental(args) -> int:
 
 
 def cmd_fexpand(args) -> int:
-    poly = _read_document(args.input, SparsePoly.from_json_dict, "polynomial")
-    _within_bound(args, "degree", poly.degree())
+    """The F-expansion of a polynomial document, read off the census of its
+    support patterns: no SparsePoly is built, and the degree is the largest
+    pattern sum of the terms that survive.  The errors come in this order:
+    the document's reading, its exponent vectors, the size bound on the
+    degree, the variable count, homogeneity, quasisymmetry."""
+    nvars, sums = _read_document(args.input, _poly_document, "polynomial")
+    census = _pattern_census(sums.items())
+    degree = _census_degree(census)
+    _within_bound(args, "degree", degree)
     try:
-        expansion = extract_f_expansion(poly)
+        expansion = _census_f_expansion(nvars, degree, census)
     except ValueError as exc:
         raise CliError(str(exc))
     _emit(expansion, args.text)

@@ -289,13 +289,19 @@ def _schensted_table(k: int) -> tuple[tuple[array, bytes, list, tuple], ...]:
     table = []
     for nu in partitions_of(k):
         masks, entries, q_counts = array("I"), bytearray(), Counter()
+        bounds = list(zip(accumulate(nu, initial=0), accumulate(nu)))
+        starts = [start for start, _ in bounds]
         for x, word in _standard_tableaux(nu):
             masks.append(x)
-            # sorted is stable: by row, and increasing along each row
-            entries.extend(sorted(range(k), key=word.__getitem__))
+            # the walk places 0, 1, ... in turn, each at the end of its row,
+            # so each entry takes the next free slot of its row
+            rows, slot = bytearray(k), starts[:]
+            for a, r in enumerate(word):
+                rows[slot[r]] = a
+                slot[r] += 1
+            entries += rows
             # with no tail the junction adds k = 0, whatever the row of k
             q_counts[majs[x], word[k - 1] if k else 0] += 1
-        bounds = list(zip(accumulate(nu, initial=0), accumulate(nu)))
         table.append((masks, bytes(entries), bounds, tuple(q_counts.items())))
     return tuple(table)
 

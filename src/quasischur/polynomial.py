@@ -38,7 +38,8 @@ def _accumulate(out: dict, key, c) -> None:
 
     This is the one cancellation rule of the package: a sparse map never
     stores a zero coefficient, and a sum drops every key that cancels.  The
-    coefficients may be ints or `QT`s."""
+    coefficients may be ints or `QT`s.  The readers' triple loop,
+    _add_triples, applies it inline."""
     if key in out:
         c = out[key] + c
     if c:
@@ -49,7 +50,8 @@ def _accumulate(out: dict, key, c) -> None:
 
 def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
     """Add a JSON coefficient [[qexp, texp, coeff], ...] into out, a map
-    (qexp, texp) -> nonzero int, checking each number once."""
+    (qexp, texp) -> nonzero int, checking each number once.  This is the
+    readers' inner loop, so it applies the rule of _accumulate inline."""
     if type(triples) is not list:
         _json_list(triples)
     for qe, te, c in triples:
@@ -58,7 +60,13 @@ def _add_triples(out: dict[tuple[int, int], int], triples) -> None:
                 _json_int(value)
         if qe < 0 or te < 0:
             raise ValueError("negative q/t exponent")
-        _accumulate(out, (qe, te), c)
+        key = qe, te
+        if key in out:
+            c += out[key]
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
 
 
 def _json_terms(entries, field: str) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
@@ -269,6 +277,30 @@ def _check_exponent_vector(exps: tuple[int, ...], nvars: int) -> None:
         raise ValueError(f"negative exponent in {exps}")
 
 
+def _variable_count(nvars) -> int:
+    """A polynomial's variable count, refusing a negative one."""
+    (nvars,) = _ints((nvars,))
+    if nvars < 0:
+        raise ValueError("variable count must be non-negative")
+    return nvars
+
+
+def _poly_document(doc: Mapping) -> tuple[int, dict[tuple[int, ...], dict]]:
+    """The variable count and the _json_terms sums of a polynomial document,
+    read in one pass that checks every number and every exponent vector.  A
+    sum that cancels is left as an empty map.
+
+    One bulk test over the distinct vectors passes a well-formed document;
+    only when it fails does the per-vector check run, to raise the message
+    of the first bad vector."""
+    nvars = _variable_count(_json_int(doc["vars"]))
+    sums = _json_terms(doc["terms"], "exps")
+    if sums and (set(map(len, sums)) != {nvars} or nvars and min(map(min, sums)) < 0):
+        for exps in sums:
+            _check_exponent_vector(exps, nvars)
+    return nvars, sums
+
+
 class SparsePoly(_SparseMap):
     """Polynomial in x_1..x_N with Z[q,t] coefficients, stored sparsely.
 
@@ -279,10 +311,7 @@ class SparsePoly(_SparseMap):
     _SPACE = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], QT] | None = None):
-        (nvars,) = _ints((nvars,))
-        if nvars < 0:
-            raise ValueError("variable count must be non-negative")
-        self.nvars = nvars
+        self.nvars = _variable_count(nvars)
         super().__init__(terms)
 
     def _key(self, exps) -> tuple[int, ...]:
@@ -311,13 +340,10 @@ class SparsePoly(_SparseMap):
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SparsePoly":
-        """Read the serialized form in one pass that checks every number.
-        Entries with equal exps are added; terms that cancel are dropped."""
-        empty = cls(_json_int(doc["vars"]))
-        sums = _json_terms(doc["terms"], "exps")
-        for exps in sums:
-            _check_exponent_vector(exps, empty.nvars)
-        return empty._wrap({exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc})
+        """Read the serialized form through _poly_document.  Entries with
+        equal exps are added; terms that cancel are dropped."""
+        nvars, sums = _poly_document(doc)
+        return cls(nvars)._wrap({exps: QT_ZERO._wrap(acc) for exps, acc in sums.items() if acc})
 
     @staticmethod
     def _str_term(term) -> str:

@@ -126,19 +126,18 @@ def fundamental(alpha, nvars: int) -> SparsePoly:
     return SparsePoly(nvars, {_exponents(word, nvars): QT_ONE for word in words})
 
 
-def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
-    """Coefficients c_beta of the monomial quasisymmetric expansion of p,
-    keyed by Composition, and by () for the constant term.
-
-    Verifies, in one pass over the monomials, homogeneity (every pattern has
-    the same sum) and then quasisymmetry: every monomial with the same
-    support-composition must carry the same coefficient, and each pattern
-    must occur on every choice of support.
-    """
-    first: dict[tuple[int, ...], QT] = {}
+def _pattern_census(terms) -> tuple[dict, dict[tuple[int, ...], int], bool]:
+    """The support patterns of terms, pairs (exponent vector, coefficient map),
+    read in one pass that raises nothing: the first map of each pattern
+    tuple(filter(None, exps)), the number of terms of each pattern, and
+    whether every map equals the first of its pattern.  An empty map, a sum
+    that cancelled, is skipped."""
+    first: dict[tuple[int, ...], dict] = {}
     count: dict[tuple[int, ...], int] = {}
     agree = True
-    for exps, coeff in p.terms():
+    for exps, coeff in terms:
+        if not coeff:
+            continue
         pattern = tuple(filter(None, exps))
         seen = first.get(pattern)
         if seen is None:
@@ -146,16 +145,43 @@ def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
             count[pattern] = 1
         else:
             count[pattern] += 1
-            if seen._terms != coeff._terms:
+            if seen != coeff:
                 agree = False
+    return first, count, agree
+
+
+def _census_degree(census) -> int:
+    """The degree of the polynomial of a census, the largest pattern sum;
+    the zero polynomial has degree 0."""
+    return max(map(sum, census[0]), default=0)
+
+
+def _check_quasisymmetric(nvars: int, census) -> None:
+    """Refuse the polynomial in nvars variables of a census unless it is
+    homogeneous (every pattern has the same sum) and then quasisymmetric:
+    every monomial with the same support-composition carries the same
+    coefficient, and each pattern occurs on every choice of support."""
+    first, count, agree = census
     if len(set(map(sum, first))) > 1:
         raise ValueError("polynomial is not homogeneous")
-    nvars = p.nvars
     if not agree or any(k != comb(nvars, len(b)) for b, k in count.items()):
         raise ValueError("polynomial is not quasisymmetric")
+
+
+def _qt_census(p: SparsePoly):
+    """The census of p's terms, read through their coefficient maps."""
+    return _pattern_census((exps, coeff._terms) for exps, coeff in p.terms())
+
+
+def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
+    """Coefficients c_beta of the monomial quasisymmetric expansion of p,
+    keyed by Composition, and by () for the constant term, after
+    _check_quasisymmetric."""
+    census = _qt_census(p)
+    _check_quasisymmetric(p.nvars, census)
     return {
-        Composition(pattern) if pattern else (): coeff
-        for pattern, coeff in first.items()
+        Composition(pattern) if pattern else (): QT_ZERO._wrap(coeff)
+        for pattern, coeff in census[0].items()
     }
 
 
@@ -179,27 +205,37 @@ def _subset_sums(terms, n: int, sign: int) -> list[tuple[tuple[int, ...], QT]]:
     return [(_composition_of_mask(mask, n), coeff) for mask, coeff in enumerate(c)]
 
 
-def extract_f_expansion(p: SparsePoly) -> Expansion:
-    """The unique F-basis coefficients of a quasisymmetric polynomial.
+def _census_f_expansion(nvars: int, degree: int, census) -> Expansion:
+    """The F-expansion of the polynomial in nvars variables, of the given
+    degree, whose census this is.  It raises, in this order, when there are
+    fewer variables than the degree, when the polynomial is not homogeneous,
+    and when it is not quasisymmetric; then it wraps one QT per pattern.
 
-    Works through monomial quasisymmetric coefficients and inclusion-exclusion
-    on the descent-set lattice.  Since c_beta = sum of a_alpha over coarsenings
-    alpha of beta, the inverse is a_alpha = sum over Set(beta) <= Set(alpha) of
-    (-1)^(|Set(alpha)| - |Set(beta)|) c_beta.
-    """
-    if p.is_zero():
+    Through the monomial quasisymmetric coefficients and inclusion-exclusion
+    on the descent-set lattice: since c_beta = sum of a_alpha over
+    coarsenings alpha of beta, the inverse is a_alpha = sum over Set(beta) <=
+    Set(alpha) of (-1)^(|Set(alpha)| - |Set(beta)|) c_beta."""
+    first = census[0]
+    if not first:
         return Expansion("F", 0)
-    n = p.degree()
-    if p.nvars < n:
+    if nvars < degree:
         raise ValueError(
-            f"need at least {n} variables to separate degree-{n} fundamentals"
+            f"need at least {degree} variables to separate degree-{degree} fundamentals"
         )
-    by_beta = monomial_qs_coefficients(p)
+    _check_quasisymmetric(nvars, census)
+    by_beta = [(pattern, QT_ZERO._wrap(coeff)) for pattern, coeff in first.items()]
     # a coefficient can be nonzero even where the monomial coefficient
-    # cancels to zero, so read off every composition of n; a constant c is
-    # c*M_() = c*F_()
-    terms = {alpha: a for alpha, a in _subset_sums(by_beta.items(), n, -1) if a}
-    return Expansion("F", n, terms)
+    # cancels to zero, so read off every composition of the degree; a
+    # constant c is c*M_() = c*F_().  Each index is a composition of the
+    # degree, so the terms are wrapped unchecked
+    terms = {alpha: a for alpha, a in _subset_sums(by_beta, degree, -1) if a}
+    return Expansion("F", degree)._wrap(terms)
+
+
+def extract_f_expansion(p: SparsePoly) -> Expansion:
+    """The unique F-basis coefficients of a quasisymmetric polynomial, by
+    _census_f_expansion."""
+    return _census_f_expansion(p.nvars, p.degree(), _qt_census(p))
 
 
 def is_symmetric_expansion(e: Expansion) -> bool:

@@ -162,9 +162,9 @@ MUTANTS = (
         old=(
             "        if qe < 0 or te < 0:\n"
             '            raise ValueError("negative q/t exponent")\n'
-            "        _accumulate(out, (qe, te), c)\n"
+            "        key = qe, te\n"
         ),
-        new="        _accumulate(out, (qe, te), c)\n",
+        new="        key = qe, te\n",
         test_ids=(
             "tests/test_readers.py::TestNegativeQtExponents::test_refused_by_every_reader[q]",
             "tests/test_readers.py::TestNegativeQtExponents::test_refused_by_every_reader[t]",
@@ -225,7 +225,7 @@ MUTANTS = (
     Mutant(
         # the box is the one that inserting r + 1/2 adds, so a last letter
         # equal to r adds no junction term
-        name="tail-shift-without-the-bit-p-minus-1",
+        name="tail-counts-box-inserted-at-r-plus-half",
         file="src/quasischur/hall_littlewood.py",
         old="            value, base = r, i * k\n",
         new="            value, base = r + 1, i * k\n",
@@ -480,11 +480,64 @@ MUTANTS = (
     Mutant(
         # the zero polynomial exceeds --max-n 0
         name="zero-polynomial-degree-one",
-        file="src/quasischur/polynomial.py",
-        old="        return max(map(sum, self._terms), default=0)\n",
-        new="        return max(map(sum, self._terms), default=1)\n",
+        file="src/quasischur/quasisym.py",
+        old="    return max(map(sum, census[0]), default=0)\n",
+        new="    return max(map(sum, census[0]), default=1)\n",
         test_ids=(
             "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[no-terms]",
+            "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[terms-cancel]",
+        ),
+    ),
+    Mutant(
+        # a later map that differs from its pattern's first one goes unseen
+        name="census-never-clears-agree",
+        file="src/quasischur/quasisym.py",
+        old="                agree = False\n",
+        new="                pass\n",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[maps-differ-within-a-pattern]",
+            "tests/test_readers.py::TestGrouping::test_every_small_pattern_set[3]",
+        ),
+    ),
+    Mutant(
+        # the bulk test reads only the lexicographically least vector's entries
+        name="bulk-exponent-test-misses-a-negative-entry",
+        file="src/quasischur/polynomial.py",
+        old="nvars and min(map(min, sums)) < 0):\n",
+        new="nvars and min(min(sums)) < 0):\n",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[negative-entry-beside-another-vector]",
+        ),
+    ),
+    Mutant(
+        # the bulk test passes a document with one vector of the right length
+        name="bulk-exponent-test-misses-a-wrong-length-vector",
+        file="src/quasischur/polynomial.py",
+        old="    if sums and (set(map(len, sums)) != {nvars} or",
+        new="    if sums and (nvars not in set(map(len, sums)) or",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[wrong-length-beside-a-right-length-vector]",
+        ),
+    ),
+    Mutant(
+        # an exps whose entries cancel still counts as a term of its pattern
+        name="census-counts-cancelled-sums",
+        file="src/quasischur/quasisym.py",
+        old="        if not coeff:\n            continue\n",
+        new="",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[top-degree-cancels]",
+            "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[terms-cancel]",
+        ),
+    ),
+    Mutant(
+        # the bound reads the degree of entries that cancel
+        name="degree-read-from-cancelled-entries",
+        file="src/quasischur/cli.py",
+        old="    degree = _census_degree(census)\n",
+        new="    degree = max(map(sum, sums), default=0)\n",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[top-degree-cancels]",
             "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[terms-cancel]",
         ),
     ),

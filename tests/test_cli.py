@@ -396,7 +396,7 @@ class TestDocumentReading:
             return wrapper
 
         monkeypatch.setattr(cli, "_read_document", recording("read", cli._read_document))
-        monkeypatch.setattr(cli, "extract_f_expansion", recording("compute", cli.extract_f_expansion))
+        monkeypatch.setattr(cli, "_census_f_expansion", recording("compute", cli._census_f_expansion))
         monkeypatch.setattr(cli, "elw_to_schur", recording("compute", cli.elw_to_schur))
         emit = cli._emit
         if case == "broken-pipe":

@@ -1,5 +1,6 @@
+from array import array
 from collections import Counter
-from itertools import chain, islice, permutations
+from itertools import accumulate, chain, islice, permutations
 from math import factorial
 
 import pytest
@@ -521,6 +522,23 @@ class TestStandardTableaux:
                 block = entries[i * k:(i + 1) * k]
                 rows = [list(block[start:end]) for start, end in bounds]
                 assert rows == [[a for a in range(k) if word[a] == r] for r in range(len(nu))]
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_table_matches_the_sorted_build(self, k):
+        # the build that sorted each tableau's entries by row, verbatim
+        majs = [0]
+        for a in range(k - 1):
+            majs += [m + a + 1 for m in majs]
+        table = []
+        for nu in partitions_of(k):
+            masks, entries, q_counts = array("I"), bytearray(), Counter()
+            for x, word in _standard_tableaux(nu):
+                masks.append(x)
+                entries.extend(sorted(range(k), key=word.__getitem__))
+                q_counts[majs[x], word[k - 1] if k else 0] += 1
+            bounds = list(zip(accumulate(nu, initial=0), accumulate(nu)))
+            table.append((masks, bytes(entries), bounds, tuple(q_counts.items())))
+        assert _schensted_table(k) == tuple(table)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_q_counts_follow_the_q_hook_formula(self, k):

@@ -1,14 +1,20 @@
 """The one-pass JSON readers and the one-pass monomial grouping against the
-readers and the grouping they replaced, kept here as oracles."""
+readers and the grouping they replaced, and the fexpand route against the
+route it replaced, kept here as oracles."""
 
+import argparse
+import io
 import itertools
 import json
 import random
+import sys
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasischur import cli
 from quasischur.combinatorics import Composition, partitions_of
 from quasischur.polynomial import QT, QT_ZERO, SparsePoly, _json_int, _json_list
 from quasischur.quasisym import Expansion, extract_f_expansion, monomial_qs_coefficients
@@ -422,3 +428,137 @@ class TestIntRule:
         e = Expansion(basis, data.draw(int_or_bool(n)), terms)
         assert type(e.degree) is int and is_plain_map(e)
         assert Expansion.from_json_dict(json_round_trip(e.to_json_dict())) == e
+
+
+# The fexpand route before the census, verbatim except that it returns the
+# expansion instead of emitting it: the document read into a SparsePoly, the
+# degree taken over its monomials, the bound, then extract_f_expansion.
+
+def reference_cmd_fexpand(args) -> Expansion:
+    poly = cli._read_document(args.input, SparsePoly.from_json_dict, "polynomial")
+    cli._within_bound(args, "degree", poly.degree())
+    try:
+        return extract_f_expansion(poly)
+    except ValueError as exc:
+        raise cli.CliError(str(exc))
+
+
+def cmd_fexpand_result(args) -> Expansion:
+    """The expansion that cli.cmd_fexpand emits."""
+    emitted = []
+    with mock.patch.object(cli, "_emit", lambda result, text: emitted.append(result)):
+        cli.cmd_fexpand(args)
+    (expansion,) = emitted
+    return expansion
+
+
+def fexpand_outcome(route, doc, max_n: int):
+    """The outcome of a route on doc, written as JSON to stdin, under
+    --max-n max_n."""
+    args = argparse.Namespace(input="-", text=False, max_n=max_n)
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+        return outcome(route, args)
+
+
+def assert_routes_agree(doc, max_n: int):
+    """cmd_fexpand and its reference give an equal Expansion, or an exception
+    of the same type with the same message and exit code; returns it."""
+    old = fexpand_outcome(reference_cmd_fexpand, doc, max_n)
+    new = fexpand_outcome(cmd_fexpand_result, doc, max_n)
+    if isinstance(old, Exception):
+        assert type(new) is type(old), (doc, old, new)
+        assert (str(new), getattr(new, "code", None)) == (str(old), getattr(old, "code", None)), doc
+    else:
+        assert new == old and new.to_json_dict() == old.to_json_dict(), doc
+    return new
+
+
+@st.composite
+def quasisymmetric_documents(draw):
+    """The document of a Z[q,t] combination of F_alpha, alpha |- n <= 3, in
+    n - 1 to n + 1 variables, with duplicate and cancelling entries."""
+    n = draw(st.integers(0, 3))
+    indices = [tuple(a) for a in compositions_of(n)] if n else [()]
+    coeffs = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                             st.integers(-2, 2), min_size=1, max_size=2).map(QT)
+    terms = st.dictionaries(st.sampled_from(indices), coeffs, min_size=1, max_size=3)
+    e = Expansion("F", n, draw(terms))
+    nvars = max(n + draw(st.integers(-1, 1)), 0)
+    return shuffled_document(expansion_to_poly(e, nvars), random.Random(draw(st.integers(0, 99))))
+
+
+def cancelled_pair(exps):
+    return [{"exps": exps, "coeff": [[0, 0, c]]} for c in (1, -1)]
+
+
+# (document, bound, the Expansion or the error message of both routes)
+FEXPAND_CASES = {
+    "top-degree-cancels": (
+        {"vars": 2, "terms": [
+            *cancelled_pair([3, 0]),
+            {"exps": [1, 0], "coeff": [[0, 0, 1]]},
+            {"exps": [0, 1], "coeff": [[0, 0, 1]]},
+            *cancelled_pair([0, 3]),
+        ]},
+        1, Expansion("F", 1, {(1,): 1}),
+    ),
+    "over-the-bound-and-not-quasisymmetric": (
+        {"vars": 2, "terms": [{"exps": [3, 0], "coeff": [[0, 0, 1]]}]},
+        2, "degree 3 exceeds bound 2",
+    ),
+    "duplicate-exps": (
+        {"vars": 2, "terms": [
+            {"exps": [1, 1], "coeff": [[0, 0, 2], [1, 0, 1]]},
+            {"exps": [2, 0], "coeff": [[0, 1, 1]]},
+            {"exps": [1, 1], "coeff": [[0, 0, -1], [1, 0, -1], [0, 1, 1]]},
+            {"exps": [0, 2], "coeff": [[0, 1, 1]]},
+        ]},
+        2, Expansion("F", 2, {(2,): QT({(0, 1): 1}), (1, 1): QT({(0, 0): 1})}),
+    ),
+    "no-terms": ({"vars": 3, "terms": []}, 0, Expansion("F", 0)),
+    "nonzero-constant": (
+        {"vars": 2, "terms": [{"exps": [0, 0], "coeff": [[0, 0, 2], [1, 1, -1]]}]},
+        0, Expansion("F", 0, {(): QT({(0, 0): 2, (1, 1): -1})}),
+    ),
+    "maps-differ-within-a-pattern": (
+        {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                              {"exps": [0, 1], "coeff": [[1, 0, 1]]}]},
+        3, "polynomial is not quasisymmetric",
+    ),
+    "too-few-variables-and-not-homogeneous": (
+        {"vars": 1, "terms": [{"exps": [2], "coeff": [[0, 0, 1]]},
+                              {"exps": [1], "coeff": [[0, 0, 1]]}]},
+        3, "need at least 2 variables to separate degree-2 fundamentals",
+    ),
+    "wrong-length-beside-a-right-length-vector": (
+        {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                              {"exps": [1], "coeff": [[0, 0, 1]]}]},
+        3, "cannot read polynomial document: exponent vector (1,) does not match 2 variables",
+    ),
+    "negative-entry-beside-another-vector": (
+        {"vars": 2, "terms": [{"exps": [0, 1], "coeff": [[0, 0, 1]]},
+                              {"exps": [1, -1], "coeff": [[0, 0, 1]]}]},
+        3, "cannot read polynomial document: negative exponent in (1, -1)",
+    ),
+}
+
+
+class TestFexpandRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=spoiled(valid_poly_documents()), max_n=st.integers(0, 6))
+    def test_polynomial_documents(self, doc, max_n):
+        assert_routes_agree(doc, max_n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=spoiled(quasisymmetric_documents()), max_n=st.integers(1, 4))
+    def test_quasisymmetric_documents(self, doc, max_n):
+        assert_routes_agree(doc, max_n)
+
+    @pytest.mark.parametrize("case", list(FEXPAND_CASES))
+    def test_fixed_document(self, case):
+        doc, max_n, expected = FEXPAND_CASES[case]
+        got = assert_routes_agree(doc, max_n)
+        if isinstance(expected, Expansion):
+            assert got == expected
+        else:
+            assert isinstance(got, cli.CliError) and str(got) == expected

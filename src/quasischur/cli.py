@@ -21,11 +21,10 @@ from .quasisym import (
     Expansion,
     _census_degree,
     _census_f_expansion,
-    _pattern_census,
+    _document_census,
     fundamental,
     is_symmetric_expansion,
 )
-from .polynomial import _poly_document
 from .schur import straighten
 
 ENV_MAX_N = "QUASISCHUR_MAX_N"
@@ -130,12 +129,14 @@ def cmd_fundamental(args) -> int:
 
 def cmd_fexpand(args) -> int:
     """The F-expansion of a polynomial document, read off the census of its
-    support patterns: no SparsePoly is built, and the degree is the largest
-    pattern sum of the terms that survive.  The errors come in this order:
-    the document's reading, its exponent vectors, the size bound on the
-    degree, the variable count, homogeneity, quasisymmetry."""
-    nvars, sums = _read_document(args.input, _poly_document, "polynomial")
-    census = _pattern_census(sums.items())
+    support patterns by _document_census: no SparsePoly is built, and only
+    the first coefficient array of each pattern is read into a map when bulk
+    tests find every array equal to its pattern's first; any other document
+    is summed by the per-entry reader.  The degree is the largest pattern
+    sum of the terms that survive.  On either route the errors come in this
+    order: the document's reading, its exponent vectors, the size bound on
+    the degree, the variable count, homogeneity, quasisymmetry."""
+    nvars, census = _read_document(args.input, _document_census, "polynomial")
     degree = _census_degree(census)
     _within_bound(args, "degree", degree)
     try:

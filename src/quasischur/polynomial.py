@@ -292,7 +292,9 @@ def _poly_document(doc: Mapping) -> tuple[int, dict[tuple[int, ...], dict]]:
 
     One bulk test over the distinct vectors passes a well-formed document;
     only when it fails does the per-vector check run, to raise the message
-    of the first bad vector."""
+    of the first bad vector.  SparsePoly.from_json_dict wraps the sums, and
+    fexpand reads a document here only when quasisym._document_census
+    falls back to it."""
     nvars = _variable_count(_json_int(doc["vars"]))
     sums = _json_terms(doc["terms"], "exps")
     if sums and (set(map(len, sums)) != {nvars} or nvars and min(map(min, sums)) < 0):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import chain, combinations_with_replacement, repeat
 from math import comb
-from operator import add
+from operator import add, eq, itemgetter
 from typing import Iterator, Mapping
 
 from .combinatorics import (
+    _INT_ONLY,
     Composition,
     Partition,
     _composition_of_mask,
@@ -19,11 +21,14 @@ from .polynomial import (
     QT_ONE,
     QT_ZERO,
     SparsePoly,
+    _add_triples,
     _as_qt,
     _factor,
     _json_int,
     _json_terms,
+    _poly_document,
     _SparseMap,
+    _variable_count,
 )
 
 BASES = ("F", "M", "s")
@@ -150,6 +155,76 @@ def _pattern_census(terms) -> tuple[dict, dict[tuple[int, ...], int], bool]:
     return first, count, agree
 
 
+_LIST_ONLY = frozenset((list,))
+
+
+def _uniform_census(nvars: int, terms):
+    """The census of a terms array in which no exps repeats and every array
+    equals the first array of its pattern, or None when the array is not so.
+
+    A quasisymmetric document gives every monomial of a pattern the same
+    coefficient, so the tests run over the whole array at once: every entry
+    has an exps and a coeff array, every exps holds integers, has length
+    nvars and no negative entry, and no two are equal; the first array of
+    each pattern reads through _add_triples to a map that does not cancel;
+    every array is == that first one and holds only integers, since == also
+    takes true and 1.0 for 1.  Only the first arrays are read into maps.
+    They are read before any comparison or flattening: _add_triples refuses
+    a first array that is not an array of integer triples, and an array ==
+    to one that it took is an array of triples too, so the flattening of
+    the int test meets nothing else."""
+    try:
+        exps = list(map(itemgetter("exps"), terms))
+        arrays = list(map(itemgetter("coeff"), terms))
+    except (KeyError, TypeError):
+        return None
+    if not (_LIST_ONLY.issuperset(map(type, exps))
+            and _INT_ONLY.issuperset(map(type, chain.from_iterable(exps)))):
+        return None
+    vectors = list(map(tuple, exps))
+    if set(map(len, vectors)) != {nvars} or nvars and min(map(min, vectors)) < 0:
+        return None
+    if len(set(vectors)) != len(vectors):
+        return None
+    patterns = list(map(tuple, map(filter, repeat(None), vectors)))
+    count = Counter(patterns)
+    # read backwards, the array stored last for a pattern is its first
+    first_array = dict(zip(reversed(patterns), reversed(arrays)))
+    first: dict[tuple[int, ...], dict] = {}
+    try:
+        for pattern in count:
+            acc = first[pattern] = {}
+            _add_triples(acc, first_array[pattern])
+            if not acc:
+                return None
+    except (TypeError, ValueError):
+        return None
+    if not all(map(eq, arrays, map(first_array.__getitem__, patterns))):
+        return None
+    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(chain.from_iterable(arrays)))):
+        return None
+    return first, dict(count), True
+
+
+def _document_census(doc: Mapping) -> tuple[int, tuple]:
+    """The variable count of a polynomial document and the census of its
+    terms, equal to those of _pattern_census(_poly_document(doc)[1].items()).
+
+    vars is read as _poly_document reads it, then terms goes through
+    _uniform_census, which settles the documents that to_json_dict writes
+    for a quasisymmetric polynomial.  A document that it does not settle,
+    with a repeated exps, arrays that differ or are reordered within a
+    pattern, a first array that cancels or any malformed node, falls back
+    to _poly_document and _pattern_census: they add the repeated entries,
+    or raise the first error of the document, so the errors and their order
+    are those of that route."""
+    nvars = _variable_count(_json_int(doc["vars"]))
+    census = _uniform_census(nvars, doc["terms"])
+    if census is None:
+        census = _pattern_census(_poly_document(doc)[1].items())
+    return nvars, census
+
+
 def _census_degree(census) -> int:
     """The degree of the polynomial of a census, the largest pattern sum;
     the zero polynomial has degree 0."""
@@ -171,18 +246,6 @@ def _check_quasisymmetric(nvars: int, census) -> None:
 def _qt_census(p: SparsePoly):
     """The census of p's terms, read through their coefficient maps."""
     return _pattern_census((exps, coeff._terms) for exps, coeff in p.terms())
-
-
-def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
-    """Coefficients c_beta of the monomial quasisymmetric expansion of p,
-    keyed by Composition, and by () for the constant term, after
-    _check_quasisymmetric."""
-    census = _qt_census(p)
-    _check_quasisymmetric(p.nvars, census)
-    return {
-        Composition(pattern) if pattern else (): QT_ZERO._wrap(coeff)
-        for pattern, coeff in census[0].items()
-    }
 
 
 def _subset_sums(terms, n: int, sign: int) -> list[tuple[tuple[int, ...], QT]]:

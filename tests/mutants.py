@@ -531,14 +531,71 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # the bound reads the degree of entries that cancel
+        # the census keeps the pattern of a sum that cancelled among its
+        # first maps, so the bound reads the degree of entries that cancel
         name="degree-read-from-cancelled-entries",
-        file="src/quasischur/cli.py",
-        old="    degree = _census_degree(census)\n",
-        new="    degree = max(map(sum, sums), default=0)\n",
+        file="src/quasischur/quasisym.py",
+        old="        if not coeff:\n            continue\n",
+        new=(
+            "        if not coeff:\n"
+            "            first.setdefault(tuple(filter(None, exps)), coeff)\n"
+            "            continue\n"
+        ),
         test_ids=(
             "tests/test_readers.py::TestFexpandRoute::test_fixed_document[top-degree-cancels]",
             "tests/test_cli.py::TestFexpand::test_zero_polynomial_is_degree_zero[terms-cancel]",
+        ),
+    ),
+    Mutant(
+        # a repeated exps is not summed: each entry counts as a monomial
+        name="bulk-census-without-the-repeated-vector-test",
+        file="src/quasischur/quasisym.py",
+        old="    if len(set(vectors)) != len(vectors):\n        return None\n",
+        new="",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[repeated-exps-with-equal-arrays]",
+            "tests/test_readers.py::TestBulkCensus::test_written_documents_never_fall_back[hooks-4]",
+        ),
+    ),
+    Mutant(
+        # == takes true and 1.0 for 1, so an array equal to its pattern's
+        # first one goes unchecked
+        name="bulk-census-without-the-int-test",
+        file="src/quasischur/quasisym.py",
+        old=(
+            "    if not _INT_ONLY.issuperset(map(type, chain.from_iterable(chain.from_iterable(arrays)))):\n"
+            "        return None\n"
+        ),
+        new="",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[true-in-the-second-array]",
+            "tests/test_cli.py::TestFexpand::test_array_equal_to_a_read_one_is_still_checked[[[0,0,true]]]",
+            "tests/test_cli.py::TestFexpand::test_array_equal_to_a_read_one_is_still_checked[[[0,0,1.0]]]",
+            "tests/test_cli.py::TestFexpand::test_array_equal_to_a_read_one_is_still_checked[[[0.0,0,1]]]",
+        ),
+    ),
+    Mutant(
+        # a pattern whose first array cancels stays in the census, empty
+        name="bulk-census-keeps-a-cancelled-first-array",
+        file="src/quasischur/quasisym.py",
+        old="            if not acc:\n                return None\n",
+        new="",
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[first-array-of-the-top-pattern-empty]",
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[first-array-of-the-top-pattern-zero]",
+        ),
+    ),
+    Mutant(
+        # arrays that agree on their first triple and differ later agree
+        name="bulk-census-compares-first-triples-only",
+        file="src/quasischur/quasisym.py",
+        old="    if not all(map(eq, arrays, map(first_array.__getitem__, patterns))):\n",
+        new=(
+            "    head = itemgetter(slice(1))\n"
+            "    if not all(map(eq, map(head, arrays), map(head, map(first_array.__getitem__, patterns)))):\n"
+        ),
+        test_ids=(
+            "tests/test_readers.py::TestFexpandRoute::test_fixed_document[arrays-differ-after-the-first-triple]",
         ),
     ),
     Mutant(

@@ -4,7 +4,8 @@ Each is a slow, direct evaluation that a faster or division-free route in the
 package is compared against: the n!-expanding antisymmetrizer, ordered set
 decompositions, Robinson-Schensted insertion with both tableaux, the hook
 length formula, one step of the exchange rule, monomial quasisymmetric
-polynomials, expansions evaluated as polynomials, symmetry by swapping
+polynomials and the M-coefficients of a polynomial read off the package's
+census, expansions evaluated as polynomials, symmetry by swapping
 variables, the textbook filling statistics (Filling, maj_stat and pides, with
 inverse_permutation and descent_set) that the package's census is read
 against, the census read word by word, the symmetry of the inversion-free
@@ -36,7 +37,13 @@ from quasischur.combinatorics import (
 )
 from quasischur.hall_littlewood import hl_fundamental_expansion, inv_zero_fillings
 from quasischur.polynomial import QT, QT_ONE, QT_ZERO, SparsePoly, _accumulate, _as_qt
-from quasischur.quasisym import Expansion, fundamental, is_symmetric_expansion
+from quasischur.quasisym import (
+    Expansion,
+    _check_quasisymmetric,
+    _qt_census,
+    fundamental,
+    is_symmetric_expansion,
+)
 from quasischur.schur import schur_ssyt
 
 
@@ -299,6 +306,19 @@ def monomial_quasisym(beta, nvars: int) -> SparsePoly:
             exps[i] = part
         terms[tuple(exps)] = 1
     return SparsePoly(nvars, terms)
+
+
+def monomial_qs_coefficients(p: SparsePoly) -> dict[tuple[int, ...], QT]:
+    """Coefficients c_beta of the monomial quasisymmetric expansion of p,
+    keyed by Composition, and by () for the constant term: the first map of
+    each pattern of p's census, after the package's homogeneity and
+    quasisymmetry check."""
+    census = _qt_census(p)
+    _check_quasisymmetric(p.nvars, census)
+    return {
+        Composition(pattern) if pattern else (): QT_ZERO._wrap(coeff)
+        for pattern, coeff in census[0].items()
+    }
 
 
 def expansion_to_poly(e: Expansion, nvars: int) -> SparsePoly:

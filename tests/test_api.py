@@ -61,6 +61,7 @@ MOVED = {
         "scalar_mul", "monomial", "variable", "zero", "one", "__mul__", "__rmul__"
     ],
     quasischur.polynomial: ["Q", "T"],
+    quasischur.quasisym: ["monomial_qs_coefficients"],
     quasischur.polynomial._SparseMap: ["_product"],
     quasischur.QT: ["term", "from_triples"],
     quasischur.Expansion: ["coefficient"],

@@ -14,7 +14,6 @@ from quasischur.quasisym import (
     fundamental,
     fundamental_words,
     is_symmetric_expansion,
-    monomial_qs_coefficients,
 )
 from quasischur.schur import schur_ssyt
 
@@ -25,6 +24,7 @@ from oracles import (
     expansion_to_poly,
     is_symmetric,
     monomial,
+    monomial_qs_coefficients,
     monomial_quasisym,
     one,
     scalar_mul,

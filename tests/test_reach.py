@@ -40,8 +40,6 @@ ALLOWLIST = {
                               "test_hashable_exactly_for_qt pins hashing",
     "polynomial.QT.__rsub__": "QT's docstring promises an int operand on either side of -",
     "polynomial.SparsePoly.from_json_dict": "reads back what to_json_dict writes",
-    "quasisym.monomial_qs_coefficients": "gives a reader the M-basis coefficients of a "
-                                         "polynomial; test_readers pins it to its oracle",
 }
 
 # an error input for each way a document can be malformed, read from stdin

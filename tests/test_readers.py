@@ -1,6 +1,6 @@
 """The one-pass JSON readers and the one-pass monomial grouping against the
-readers and the grouping they replaced, and the fexpand route against the
-route it replaced, kept here as oracles."""
+readers and the grouping they replaced, and the fexpand route, with its bulk
+census, against the route it replaced, kept here as oracles."""
 
 import argparse
 import io
@@ -14,13 +14,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasischur import cli
+from quasischur import cli, quasisym
 from quasischur.combinatorics import Composition, partitions_of
+from quasischur.hall_littlewood import hll_expansion
 from quasischur.polynomial import QT, QT_ZERO, SparsePoly, _json_int, _json_list
-from quasischur.quasisym import Expansion, extract_f_expansion, monomial_qs_coefficients
+from quasischur.quasisym import Expansion, extract_f_expansion
 from quasischur.schur import schur_ssyt
 
-from oracles import Q, compositions_of, expansion_to_poly
+from oracles import Q, compositions_of, expansion_to_poly, monomial_qs_coefficients
 
 READ_ERRORS = (ValueError, TypeError, KeyError)
 
@@ -474,17 +475,31 @@ def assert_routes_agree(doc, max_n: int):
 
 
 @st.composite
-def quasisymmetric_documents(draw):
-    """The document of a Z[q,t] combination of F_alpha, alpha |- n <= 3, in
-    n - 1 to n + 1 variables, with duplicate and cancelling entries."""
-    n = draw(st.integers(0, 3))
+def f_polynomials(draw, max_n: int) -> SparsePoly:
+    """A Z[q,t] combination of F_alpha, alpha |- n <= max_n, as a polynomial
+    in n - 1 to n + 1 variables."""
+    n = draw(st.integers(0, max_n))
     indices = [tuple(a) for a in compositions_of(n)] if n else [()]
     coeffs = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                              st.integers(-2, 2), min_size=1, max_size=2).map(QT)
     terms = st.dictionaries(st.sampled_from(indices), coeffs, min_size=1, max_size=3)
     e = Expansion("F", n, draw(terms))
-    nvars = max(n + draw(st.integers(-1, 1)), 0)
-    return shuffled_document(expansion_to_poly(e, nvars), random.Random(draw(st.integers(0, 99))))
+    return expansion_to_poly(e, max(n + draw(st.integers(-1, 1)), 0))
+
+
+@st.composite
+def quasisymmetric_documents(draw):
+    """The document of an f_polynomials(3), with duplicate and cancelling
+    entries."""
+    p = draw(f_polynomials(3))
+    return shuffled_document(p, random.Random(draw(st.integers(0, 99))))
+
+
+def canonical_documents():
+    """The document that to_json_dict writes for an f_polynomials(4): one
+    entry per monomial, each coefficient array sorted, so equal coefficients
+    are equal arrays."""
+    return f_polynomials(4).map(SparsePoly.to_json_dict)
 
 
 def cancelled_pair(exps):
@@ -540,6 +555,46 @@ FEXPAND_CASES = {
                               {"exps": [1, -1], "coeff": [[0, 0, 1]]}]},
         3, "cannot read polynomial document: negative exponent in (1, -1)",
     ),
+    # documents in which every array equals the first of its pattern, but
+    # which the bulk census must still leave to the summing reader
+    "repeated-exps-with-equal-arrays": (
+        {"vars": 2, "terms": [{"exps": e, "coeff": [[0, 0, 1]]}
+                              for e in ([1, 0], [1, 0], [0, 1], [0, 1])]},
+        1, Expansion("F", 1, {(1,): 2}),
+    ),
+    "first-array-of-the-top-pattern-empty": (
+        {"vars": 2, "terms": [{"exps": [3, 0], "coeff": []}, {"exps": [0, 3], "coeff": []},
+                              {"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                              {"exps": [0, 1], "coeff": [[0, 0, 1]]}]},
+        1, Expansion("F", 1, {(1,): 1}),
+    ),
+    "first-array-of-the-top-pattern-zero": (
+        {"vars": 2, "terms": [{"exps": [3, 0], "coeff": [[0, 0, 0]]},
+                              {"exps": [0, 3], "coeff": [[0, 0, 0]]},
+                              {"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                              {"exps": [0, 1], "coeff": [[0, 0, 1]]}]},
+        1, Expansion("F", 1, {(1,): 1}),
+    ),
+    "arrays-equal-up-to-order": (
+        {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1], [1, 0, 2]]},
+                              {"exps": [0, 1], "coeff": [[1, 0, 2], [0, 0, 1]]}]},
+        1, Expansion("F", 1, {(1,): QT({(0, 0): 1, (1, 0): 2})}),
+    ),
+    "arrays-differ-after-the-first-triple": (
+        {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1], [1, 0, 1]]},
+                              {"exps": [0, 1], "coeff": [[0, 0, 1], [2, 0, 1]]}]},
+        1, "polynomial is not quasisymmetric",
+    ),
+    "true-in-the-second-array": (
+        {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                              {"exps": [0, 1], "coeff": [[0, 0, True]]}]},
+        1, "cannot read polynomial document: expected an integer, got True",
+    ),
+    "bare-int-in-the-second-array": (
+        {"vars": 2, "terms": [{"exps": [1, 0], "coeff": [[0, 0, 1]]},
+                              {"exps": [0, 1], "coeff": [[0, 0, 1], 1]}]},
+        1, "cannot read polynomial document: cannot unpack non-iterable int object",
+    ),
 }
 
 
@@ -554,6 +609,11 @@ class TestFexpandRoute:
     def test_quasisymmetric_documents(self, doc, max_n):
         assert_routes_agree(doc, max_n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(doc=spoiled(canonical_documents()), max_n=st.integers(0, 5))
+    def test_canonical_documents(self, doc, max_n):
+        assert_routes_agree(doc, max_n)
+
     @pytest.mark.parametrize("case", list(FEXPAND_CASES))
     def test_fixed_document(self, case):
         doc, max_n, expected = FEXPAND_CASES[case]
@@ -562,3 +622,44 @@ class TestFexpandRoute:
             assert got == expected
         else:
             assert isinstance(got, cli.CliError) and str(got) == expected
+
+
+class FellBack(Exception):
+    pass
+
+
+def fall_back(doc):
+    raise FellBack
+
+
+def hooks_document(n: int) -> dict:
+    """The polynomial document of the sum over the hooks mu of n of
+    (-1)^k q^k H~_mu(x; t), mu = (n-k, 1^k), in n variables: a document of
+    the kind that the fschur-cli benchmark reads."""
+    total = Expansion("s", n)
+    for k in range(n):
+        factor = QT({(k, 0): -1 if k % 2 else 1})
+        hook = hll_expansion((n - k,) + (1,) * k)
+        total = total + Expansion("s", n, {lam: factor * c for lam, c in hook.terms()})
+    return expansion_to_poly(total, n).to_json_dict()
+
+
+WRITTEN_DOCUMENTS = {
+    "schur-3-2-1": lambda: schur_ssyt((3, 2, 1), 6).to_json_dict(),
+    "hooks-4": lambda: hooks_document(4),
+}
+
+
+class TestBulkCensus:
+    # the documents that the program writes for a quasisymmetric polynomial
+    # are settled by the bulk tests, without the summing reader
+    @pytest.mark.parametrize("case", list(WRITTEN_DOCUMENTS))
+    def test_written_documents_never_fall_back(self, monkeypatch, case):
+        doc = WRITTEN_DOCUMENTS[case]()
+        expected = fexpand_outcome(reference_cmd_fexpand, doc, 9)
+        assert isinstance(expected, Expansion) and expected
+        monkeypatch.setattr(quasisym, "_poly_document", fall_back)
+        assert fexpand_outcome(cmd_fexpand_result, doc, 9) == expected
+        # the patch is in effect: a repeated exps takes the summing reader
+        repeated, max_n, _ = FEXPAND_CASES["repeated-exps-with-equal-arrays"]
+        assert isinstance(fexpand_outcome(cmd_fexpand_result, repeated, max_n), FellBack)
